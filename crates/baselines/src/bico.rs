@@ -2,7 +2,7 @@
 //! BIRCH-style clustering features maintained as a streaming coreset for
 //! k-means, followed by weighted k-means++ on the coreset.
 //!
-//! Simplification vs. the original (documented in DESIGN.md §3): the
+//! Simplification vs. the original: the
 //! original's tree with per-level radii and projection-based
 //! nearest-neighbor filtering is flattened to a single CF layer with a
 //! global radius threshold that doubles on overflow — the same

@@ -1,5 +1,5 @@
-//! Ablations of the design choices DESIGN.md calls out (not a paper
-//! table; motivated by §3.3 and Remarks 3/5):
+//! Ablations of the exact pipeline's design choices (not a paper table;
+//! motivated by §3.3 and Remarks 3/5):
 //!
 //! 1. dense-ball shortcut on/off (Step 1's amortization, Lemma 4);
 //! 2. cover-tree BCP vs brute-force BCP (Step 2, Lemma 5);

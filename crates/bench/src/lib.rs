@@ -1,6 +1,7 @@
 //! Shared harness plumbing: CLI flags, timing, and the dataset registry
 //! that maps every Table 1 dataset class to its synthetic stand-in
-//! (DESIGN.md §3 records the substitutions).
+//! (the substitution rule is stated in the `mdbscan_datagen` crate docs;
+//! [`registry`] lists each stand-in).
 //!
 //! Every binary prints a TSV table to stdout — the same rows/series as the
 //! corresponding figure or table in the paper — and accepts:

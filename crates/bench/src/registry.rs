@@ -190,7 +190,8 @@ pub fn text_suite(args: &HarnessArgs) -> Vec<StrEntry> {
 
 /// Row 4 stand-ins: GloVe25 (25-d), SIFT (128-d), GIST (960-d), DEEP1B
 /// (96-d) at reduced `n` (the `--full` flag multiplies by 10; the paper's
-/// absolute sizes are out of laptop scope — DESIGN.md §3).
+/// absolute sizes are out of laptop scope; the substitution rule is
+/// stated in the `mdbscan_datagen` crate docs).
 pub fn large_suite(args: &HarnessArgs) -> Vec<VecEntry> {
     let mk = |name: &'static str, base_n: usize, dim: usize, seed_off: u64| VecEntry {
         data: manifold_clusters(

@@ -23,17 +23,17 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mdbscan_grid::{CandidateStats, GridIndex};
+use mdbscan_grid::CandidateStats;
 use mdbscan_kcenter::CenterAdjacency;
 use mdbscan_metric::{BatchMetric, CountingMetric, Metric, PruneStats};
-use mdbscan_parallel::{par_map_ranges, split_even, worker_count, Csr, ParallelConfig};
-use mdbscan_rp::{RpIndex, RpStats};
+use mdbscan_parallel::{Csr, ParallelConfig};
+use mdbscan_rp::RpStats;
 
+use crate::candidates::{par_probe, Candidates, Ledger, Probe, Scan};
 use crate::labels::PointLabel;
 use crate::netview::NetView;
 use crate::params::ApproxParams;
 use crate::parmerge::{batch_size, union_rounds};
-use crate::steps::{count_neighbors_capped, AnchorScratch};
 use crate::unionfind::UnionFind;
 
 /// Work items per worker below which the summary / labeling loops stay
@@ -128,18 +128,9 @@ impl ApproxArtifacts {
 pub(crate) struct ApproxReuse<'a> {
     pub(crate) artifacts: Option<&'a ApproxArtifacts>,
     pub(crate) adjacency: Option<Arc<CenterAdjacency>>,
-    /// ε-aligned grid over the current epoch's points (cell side
-    /// `ε/√d`); when present, candidate generation for the adjacency,
-    /// the core tests, and the labeling scan comes from ring cells —
-    /// bit-identical labels, fewer distance evaluations.
-    pub(crate) grid: Option<Arc<GridIndex>>,
-    /// Seeded random-projection index over the current epoch's points;
-    /// when present, the core tests and the labeling scan draw their
-    /// candidates from its per-projection lists instead of scanning
-    /// neighbor balls. Deterministic for a fixed seed; candidate misses
-    /// are a quality trade-off, not nondeterminism. Mutually exclusive
-    /// with `grid` (the engine resolves at most one).
-    pub(crate) rp: Option<Arc<RpIndex>>,
+    /// Where the adjacency build, the core tests, and the labeling scan
+    /// draw their candidates from.
+    pub(crate) candidates: Candidates,
 }
 
 /// Everything one Algorithm-2 run produces.
@@ -186,55 +177,30 @@ pub(crate) fn run_approx<P: Sync, M: BatchMetric<P> + Sync>(
     // (1+ρ)ε are ≤ (1+ρ)ε + 2r̄ apart) and the ε-ball containment of
     // Lemma 2 (needs ≥ 2r̄ + ε). With r̄ = ρε/2 this equals the paper's
     // 4r̄ + ε.
-    let grid: Option<&GridIndex> = reuse.grid.as_deref();
-    let rp: Option<&RpIndex> = reuse.rp.as_deref();
-    debug_assert!(
-        grid.is_none() || rp.is_none(),
-        "at most one candidate index per run"
-    );
+    let mut ledger = Ledger::default();
     let t = Instant::now();
     let threshold = approx_threshold(net.rbar, params);
-    let adj: Arc<CenterAdjacency> = match reuse.adjacency {
-        Some(adj) => {
-            debug_assert_eq!(adj.threshold, threshold, "adjacency cache mixup");
-            adj
-        }
-        None => match grid {
-            Some(g) => {
-                let dim = g.dim();
-                let mut coords = Vec::with_capacity(net.centers.len() * dim);
-                for &c in net.centers {
-                    coords.extend_from_slice(g.point_coords(c));
-                }
-                let (built, cand) = CenterAdjacency::build_grid(
-                    points,
-                    metric,
-                    net.centers,
-                    threshold,
-                    parallel,
-                    dim,
-                    coords,
-                );
-                stats.candidates.merge(&cand);
-                Arc::new(built)
-            }
-            None => {
-                let built = CenterAdjacency::build_pruned(
-                    points,
-                    metric,
-                    net.centers,
-                    threshold,
-                    parallel,
-                    pruning,
-                );
-                stats.pruning.merge(&built.pruning);
-                Arc::new(built)
-            }
-        },
-    };
+    let adj = reuse.candidates.center_adjacency(
+        reuse.adjacency,
+        points,
+        metric,
+        net,
+        threshold,
+        parallel,
+        pruning,
+        &mut ledger,
+    );
     stats.adjacency_secs = t.elapsed().as_secs_f64();
     stats.adjacency_evals = metric.count();
     stats.mean_adjacency_degree = adj.mean_degree();
+    let scan = Scan {
+        points,
+        metric,
+        net: *net,
+        adj: &adj,
+        pruning,
+        source: &reuse.candidates,
+    };
 
     // ---- Summary construction + merge (replayed wholesale on a hit) ----
     let fresh: Option<ApproxArtifacts> = if reuse.artifacts.is_some() {
@@ -243,62 +209,10 @@ pub(crate) fn run_approx<P: Sync, M: BatchMetric<P> + Sync>(
         // Which centers are core points (|B(e, ε)| ≥ MinPts)? Parallel
         // over centers; each test is independent.
         let t = Instant::now();
-        // The `≥ MinPts` test: either the generic neighbor-cover-set
-        // scan or (grid mode) a capped ring-cell count — both see the
-        // same ε-ball, so the flag is identical.
-        let is_core_test = |p: usize,
-                            e: usize,
-                            ps: &mut PruneStats,
-                            cs: &mut CandidateStats,
-                            rps: &mut RpStats,
-                            cells: &mut Vec<u32>| {
-            if let Some(r) = rp {
-                // RP mode: count only inside the candidate set, capped
-                // at MinPts. A candidate miss can undercount (quality),
-                // never overcount.
-                r.candidates_for(p as u32, cells, rps);
-                let mut count = 0usize;
-                for &q in cells.iter() {
-                    if metric.within(&points[p], &points[q as usize], eps) {
-                        count += 1;
-                        if count >= min_pts {
-                            break;
-                        }
-                    }
-                }
-                return count >= min_pts;
-            }
-            match grid {
-                Some(g) => {
-                    g.count_within_capped(g.point_coords(p), eps, min_pts, cells, cs, |q| {
-                        metric.within(&points[p], &points[q as usize], eps)
-                    }) >= min_pts
-                }
-                None => {
-                    count_neighbors_capped(
-                        points, metric, net, &adj, e, p, eps, min_pts, pruning, ps,
-                    ) >= min_pts
-                }
-            }
-        };
-        let w = worker_count(threads, k, 64);
-        let chunks = par_map_ranges(split_even(k, w), |r| {
-            let mut ps = PruneStats::default();
-            let mut cs = CandidateStats::default();
-            let mut rps = RpStats::default();
-            let mut cells: Vec<u32> = Vec::new();
-            let flags: Vec<bool> = r
-                .map(|e| is_core_test(net.centers[e], e, &mut ps, &mut cs, &mut rps, &mut cells))
-                .collect();
-            (flags, ps, cs, rps)
+        let (center_core, centers_ledger) = par_probe(threads, k, 64, |e, probe| {
+            scan.is_core(net.centers[e], e, eps, min_pts, probe)
         });
-        let mut center_core = Vec::with_capacity(k);
-        for (chunk, ps, cs, rps) in chunks {
-            center_core.extend(chunk);
-            stats.pruning.merge(&ps);
-            stats.candidates.merge(&cs);
-            stats.rp.merge(&rps);
-        }
+        ledger.merge(&centers_ledger);
         // Points of non-core-center balls need individual core tests
         // (Lemma 8 bounds each such ball below MinPts points, so this
         // stays amortized-linear — Lemma 10). Collect them, test in
@@ -307,28 +221,16 @@ pub(crate) fn run_approx<P: Sync, M: BatchMetric<P> + Sync>(
             .filter(|&e| !center_core[e])
             .flat_map(|e| net.cover_sets.row(e).iter().copied())
             .collect();
-        let w = worker_count(threads, sparse_points.len(), APPROX_MIN_PER_THREAD);
-        let chunks = par_map_ranges(split_even(sparse_points.len(), w), |r| {
-            let mut ps = PruneStats::default();
-            let mut cs = CandidateStats::default();
-            let mut rps = RpStats::default();
-            let mut cells: Vec<u32> = Vec::new();
-            let flags: Vec<bool> = r
-                .map(|i| {
-                    let pi = sparse_points[i] as usize;
-                    let e = net.assignment[pi] as usize;
-                    is_core_test(pi, e, &mut ps, &mut cs, &mut rps, &mut cells)
-                })
-                .collect();
-            (flags, ps, cs, rps)
-        });
-        let mut sparse_core = Vec::with_capacity(sparse_points.len());
-        for (chunk, ps, cs, rps) in chunks {
-            sparse_core.extend(chunk);
-            stats.pruning.merge(&ps);
-            stats.candidates.merge(&cs);
-            stats.rp.merge(&rps);
-        }
+        let (sparse_core, sparse_ledger) = par_probe(
+            threads,
+            sparse_points.len(),
+            APPROX_MIN_PER_THREAD,
+            |i, probe| {
+                let pi = sparse_points[i] as usize;
+                scan.is_core(pi, net.assignment[pi] as usize, eps, min_pts, probe)
+            },
+        );
+        ledger.merge(&sparse_ledger);
         // S* as point indices, plus per-center membership rows (positions
         // into `summary`) — assembled sequentially in center order,
         // exactly as the sequential algorithm would.
@@ -372,7 +274,7 @@ pub(crate) fn run_approx<P: Sync, M: BatchMetric<P> + Sync>(
         let gen_pairs = |i: usize,
                          pending: &mut std::collections::VecDeque<(u32, u32)>,
                          uf: &mut UnionFind,
-                         stats: &mut ApproxStats| {
+                         ps: &mut PruneStats| {
             let cs = net.assignment[summary[i] as usize] as usize;
             let row = adj.neighbors.row(cs);
             let lbs = adj.lbound_row(cs);
@@ -386,12 +288,12 @@ pub(crate) fn run_approx<P: Sync, M: BatchMetric<P> + Sync>(
                     if pruning.enabled {
                         let slack = dq(summary[i]) + dq(summary[j]);
                         if lb - slack > merge_r {
-                            stats.pruning.bound_rejects += 1;
+                            ps.bound_rejects += 1;
                             continue;
                         }
                         if ub + slack <= merge_r {
                             if uf.root(i) != uf.root(j) {
-                                stats.pruning.bound_accepts += 1;
+                                ps.bound_accepts += 1;
                                 uf.union(i, j);
                             }
                             continue;
@@ -404,7 +306,7 @@ pub(crate) fn run_approx<P: Sync, M: BatchMetric<P> + Sync>(
         if threads <= 1 {
             let mut pending = std::collections::VecDeque::new();
             for i in 0..summary.len() {
-                gen_pairs(i, &mut pending, &mut uf, &mut stats);
+                gen_pairs(i, &mut pending, &mut uf, &mut ledger.pruning);
                 while let Some((a, b)) = pending.pop_front() {
                     let (a, b) = (a as usize, b as usize);
                     if uf.connected(a, b) {
@@ -428,7 +330,6 @@ pub(crate) fn run_approx<P: Sync, M: BatchMetric<P> + Sync>(
             let mut i_cursor = 0usize;
             let mut pending: std::collections::VecDeque<(u32, u32)> =
                 std::collections::VecDeque::new();
-            let mut local = ApproxStats::default();
             let (tested, _) = union_rounds(
                 &mut uf,
                 threads,
@@ -450,7 +351,7 @@ pub(crate) fn run_approx<P: Sync, M: BatchMetric<P> + Sync>(
                         }
                         let i = i_cursor;
                         i_cursor += 1;
-                        gen_pairs(i, &mut pending, uf, &mut local);
+                        gen_pairs(i, &mut pending, uf, &mut ledger.pruning);
                     }
                 },
                 |i, j| {
@@ -462,7 +363,6 @@ pub(crate) fn run_approx<P: Sync, M: BatchMetric<P> + Sync>(
                 },
             );
             stats.merge_pairs_tested = tested;
-            stats.pruning.merge(&local.pruning);
         }
         let summary_cluster = uf.component_ids();
         stats.merge_secs = t.elapsed().as_secs_f64();
@@ -493,69 +393,35 @@ pub(crate) fn run_approx<P: Sync, M: BatchMetric<P> + Sync>(
     let center_summary_pos: Vec<Option<u32>> = (0..k)
         .map(|e| art.center_core[e].then(|| art.summary_by_center.row(e)[0]))
         .collect();
-    let w = worker_count(threads, n, APPROX_MIN_PER_THREAD);
-    let chunks = par_map_ranges(split_even(n, w), |r| {
-        let mut ps = PruneStats::default();
-        let mut cs = CandidateStats::default();
-        let mut rps = RpStats::default();
-        let mut scratch = AnchorScratch::default();
-        let mut cand: Vec<u32> = Vec::new();
-        let labels: Vec<PointLabel> = r
-            .map(|p| {
-                if let Some(rpi) = rp {
-                    return label_point_rp(
-                        points,
-                        metric,
-                        net,
-                        rpi,
-                        art,
-                        &summary_pos_of_point,
-                        &center_summary_pos,
-                        p,
-                        label_r,
-                        &mut cand,
-                        &mut rps,
-                    );
-                }
-                match grid {
-                    Some(g) => label_point_grid(
-                        points,
-                        metric,
-                        net,
-                        g,
-                        art,
-                        &summary_pos_of_point,
-                        &center_summary_pos,
-                        p,
-                        label_r,
-                        &mut cs,
-                    ),
-                    None => label_point(
-                        points,
-                        metric,
-                        net,
-                        &adj,
-                        art,
-                        &summary_pos_of_point,
-                        &center_summary_pos,
-                        p,
-                        label_r,
-                        pruning,
-                        &mut scratch,
-                        &mut ps,
-                    ),
-                }
-            })
-            .collect();
-        (labels, ps, cs, rps)
+    let (labels, label_ledger) = par_probe(threads, n, APPROX_MIN_PER_THREAD, |p, probe| {
+        // Summary members are certified core points.
+        let pos = summary_pos_of_point[p];
+        if pos != u32::MAX {
+            return PointLabel::Core(art.summary_cluster[pos as usize]);
+        }
+        // p is within r̄ ≤ ε of a core center c_p: at least a border
+        // point of that cluster (individual core-ness not certified —
+        // see PointLabel::Border docs).
+        if let Some(pos) = center_summary_pos[net.assignment[p] as usize] {
+            return PointLabel::Border(art.summary_cluster[pos as usize]);
+        }
+        // Else the nearest summary point within (ρ/2+1)ε, minimizing
+        // (distance, summary position): summary positions are assigned
+        // in center order, so the generic scan over ascending adjacency
+        // rows meets them ascending and keeps the first minimum.
+        let summary_pos =
+            |q: u32| Some(summary_pos_of_point[q as usize]).filter(|&j| j != u32::MAX);
+        scan.nearest(p, label_r, summary_pos, probe, |probe| {
+            nearest_summary(&scan, art, p, label_r, probe)
+        })
+        .map_or(PointLabel::Noise, |j| {
+            PointLabel::Border(art.summary_cluster[j as usize])
+        })
     });
-    let mut labels = Vec::with_capacity(n);
-    for (chunk, ps, cs, rps) in chunks {
-        labels.extend(chunk);
-        stats.pruning.merge(&ps);
-        stats.candidates.merge(&cs);
-        stats.rp.merge(&rps);
-    }
+    ledger.merge(&label_ledger);
+    stats.pruning = ledger.pruning;
+    stats.candidates = ledger.grid;
+    stats.rp = ledger.rp;
     stats.label_secs = t.elapsed().as_secs_f64();
     stats.label_evals =
         metric.count() - stats.adjacency_evals - stats.summary_evals - stats.merge_evals;
@@ -573,69 +439,37 @@ pub(crate) fn approx_threshold(rbar: f64, params: &ApproxParams) -> f64 {
     (params.merge_radius() + 2.0 * rbar).max(2.0 * rbar + params.eps())
 }
 
-/// Labels one point against the merged summary (Algorithm 2's final
-/// phase), with the neighbor-ball scan anchored per center like Step 3.
-#[allow(clippy::too_many_arguments)] // mirrors the labeling signature
-fn label_point<P, M: BatchMetric<P>>(
-    points: &[P],
-    metric: &M,
-    net: &NetView<'_>,
-    adj: &CenterAdjacency,
+/// Algorithm 2's generic labeling scan for one point: the summary
+/// position of the nearest summary point within `label_r` among the
+/// neighbor balls, anchored per neighbor center like Step 3 when its
+/// summary row is big enough.
+fn nearest_summary<P, M: BatchMetric<P>>(
+    scan: &Scan<'_, P, M>,
     art: &ApproxArtifacts,
-    summary_pos_of_point: &[u32],
-    center_summary_pos: &[Option<u32>],
     p: usize,
     label_r: f64,
-    pruning: &mdbscan_metric::PruningConfig,
-    scratch: &mut AnchorScratch,
-    ps: &mut PruneStats,
-) -> PointLabel {
-    // Summary members are certified core points.
-    let pos = summary_pos_of_point[p];
-    if pos != u32::MAX {
-        return PointLabel::Core(art.summary_cluster[pos as usize]);
-    }
-    let cp = net.assignment[p] as usize;
-    if let Some(pos) = center_summary_pos[cp] {
-        // p is within r̄ ≤ ε of the core center c_p: at least a border
-        // point of that cluster (individual core-ness not certified —
-        // see PointLabel::Border docs).
-        return PointLabel::Border(art.summary_cluster[pos as usize]);
-    }
-    // Nearest summary point within (ρ/2+1)ε among neighbor balls,
-    // anchored per neighbor center when its summary row is big enough.
-    let row = adj.neighbors.row(cp);
-    let own = net.dist_to_center.map(|d2c| (cp as u32, d2c[p]));
-    scratch.anchor_rows(
-        points,
-        metric,
-        net,
-        row,
-        |e2| art.summary_by_center.row_len(e2),
-        p,
-        own,
-        pruning,
-        ps,
-    );
-    let mut cursor = 0usize;
+    probe: &mut Probe,
+) -> Option<u32> {
+    let (points, metric, net, pruning) = (scan.points, scan.metric, &scan.net, scan.pruning);
+    let row = scan.adj.neighbors.row(net.assignment[p] as usize);
+    let mut anchors = scan
+        .anchor_row(probe, p, |e2| art.summary_by_center.row_len(e2))
+        .iter()
+        .copied();
+    let mut rejects = 0u64;
     let mut best: Option<(f64, u32)> = None;
     for &e2 in row {
-        let e2 = e2 as usize;
-        let members = art.summary_by_center.row(e2);
-        let anchor = if pruning.enabled && members.len() >= pruning.min_anchor_group {
-            let a = scratch.anchors[cursor];
-            cursor += 1;
-            Some(a)
-        } else {
-            None
-        };
+        let members = art.summary_by_center.row(e2 as usize);
+        let anchor = (pruning.enabled && members.len() >= pruning.min_anchor_group)
+            .then(|| anchors.next())
+            .flatten();
         for &jpos in members {
             let bound = best.map_or(label_r, |(d, _)| d);
             let sp = art.summary[jpos as usize] as usize;
             if let Some(a) = anchor {
                 let dq = net.center_dist_ub(sp);
                 if a - dq > bound || (net.dist_to_center.is_some() && dq - a > bound) {
-                    ps.bound_rejects += 1;
+                    rejects += 1;
                     continue;
                 }
             }
@@ -646,126 +480,8 @@ fn label_point<P, M: BatchMetric<P>>(
             }
         }
     }
-    match best {
-        Some((_, jpos)) => PointLabel::Border(art.summary_cluster[jpos as usize]),
-        None => PointLabel::Noise,
-    }
-}
-
-/// Grid variant of [`label_point`]: same early-outs, then the nearest
-/// summary point among the ring-cell candidates, minimizing
-/// `(distance, summary position)` lexicographically. That is exactly
-/// the optimum the generic scan converges to — its adjacency rows are
-/// visited in ascending center order and summary positions are
-/// assigned in center order, so positions arrive globally ascending
-/// and the strict `<` keeps the first (smallest-position) minimum.
-/// Every distance comes from the same metric arithmetic, so the label
-/// matches bit-for-bit.
-#[allow(clippy::too_many_arguments)] // mirrors label_point
-fn label_point_grid<P, M: BatchMetric<P>>(
-    points: &[P],
-    metric: &M,
-    net: &NetView<'_>,
-    grid: &GridIndex,
-    art: &ApproxArtifacts,
-    summary_pos_of_point: &[u32],
-    center_summary_pos: &[Option<u32>],
-    p: usize,
-    label_r: f64,
-    cs: &mut CandidateStats,
-) -> PointLabel {
-    let pos = summary_pos_of_point[p];
-    if pos != u32::MAX {
-        return PointLabel::Core(art.summary_cluster[pos as usize]);
-    }
-    let cp = net.assignment[p] as usize;
-    if let Some(pos) = center_summary_pos[cp] {
-        return PointLabel::Border(art.summary_cluster[pos as usize]);
-    }
-    let mut best: Option<(f64, u32)> = None;
-    let mut walk = CandidateStats::default();
-    let (mut emitted, mut rejected) = (0u64, 0u64);
-    grid.for_each_candidate_cell(
-        grid.point_coords(p),
-        label_r,
-        &mut walk,
-        |members, cell_lb, _| {
-            if best.is_some_and(|(d, _)| cell_lb > d) {
-                rejected += members.len() as u64;
-                return;
-            }
-            for &q in members {
-                let jpos = summary_pos_of_point[q as usize];
-                if jpos == u32::MAX {
-                    continue;
-                }
-                emitted += 1;
-                let bound = best.map_or(label_r, |(d, _)| d);
-                if let Some(d) = metric.distance_leq(&points[p], &points[q as usize], bound) {
-                    if best.is_none_or(|(bd, bj)| d < bd || (d == bd && jpos < bj)) {
-                        best = Some((d, jpos));
-                    }
-                }
-            }
-        },
-    );
-    cs.merge(&walk);
-    cs.candidates_emitted += emitted;
-    cs.candidates_rejected += rejected;
-    match best {
-        Some((_, jpos)) => PointLabel::Border(art.summary_cluster[jpos as usize]),
-        None => PointLabel::Noise,
-    }
-}
-
-/// Random-projection variant of [`label_point`]: same early-outs, then
-/// the nearest summary point among the RP candidates, minimizing
-/// `(distance, summary position)` lexicographically. Candidates that
-/// are not summary members are filtered without an evaluation and
-/// charged to [`RpStats::candidates_rejected`]. Deterministic for a
-/// fixed seed (the candidate set is a pure function of the index);
-/// summary members the candidate set misses are a quality trade-off.
-#[allow(clippy::too_many_arguments)] // mirrors label_point
-fn label_point_rp<P, M: BatchMetric<P>>(
-    points: &[P],
-    metric: &M,
-    net: &NetView<'_>,
-    rp: &RpIndex,
-    art: &ApproxArtifacts,
-    summary_pos_of_point: &[u32],
-    center_summary_pos: &[Option<u32>],
-    p: usize,
-    label_r: f64,
-    cand: &mut Vec<u32>,
-    rps: &mut RpStats,
-) -> PointLabel {
-    let pos = summary_pos_of_point[p];
-    if pos != u32::MAX {
-        return PointLabel::Core(art.summary_cluster[pos as usize]);
-    }
-    let cp = net.assignment[p] as usize;
-    if let Some(pos) = center_summary_pos[cp] {
-        return PointLabel::Border(art.summary_cluster[pos as usize]);
-    }
-    rp.candidates_for(p as u32, cand, rps);
-    let mut best: Option<(f64, u32)> = None;
-    for &q in cand.iter() {
-        let jpos = summary_pos_of_point[q as usize];
-        if jpos == u32::MAX {
-            rps.candidates_rejected += 1;
-            continue;
-        }
-        let bound = best.map_or(label_r, |(d, _)| d);
-        if let Some(d) = metric.distance_leq(&points[p], &points[q as usize], bound) {
-            if best.is_none_or(|(bd, bj)| d < bd || (d == bd && jpos < bj)) {
-                best = Some((d, jpos));
-            }
-        }
-    }
-    match best {
-        Some((_, jpos)) => PointLabel::Border(art.summary_cluster[jpos as usize]),
-        None => PointLabel::Noise,
-    }
+    probe.ledger.pruning.bound_rejects += rejects;
+    best.map(|(_, jpos)| jpos)
 }
 
 #[cfg(test)]

@@ -77,21 +77,39 @@
 //! all invisible in the results: cached artifacts are deterministic
 //! functions of `(epoch, net, ε, MinPts)`, so a hit returns
 //! **bit-identical labels** to a cold run.
+//!
+//! # Where the decisions live
+//!
+//! This module holds the public surface, the epoch/snapshot state and
+//! the per-solver query drivers. Two decisions live beside it:
+//!
+//! * `candidates.rs` decides, once per query, where a solver's ε-ball
+//!   candidates come from — the generic net, the grid, or the
+//!   random-projection index ([`CandidateIndex`]) — and holds the one
+//!   scan seam all of them plug into;
+//! * `cache.rs` holds the cache policy: every epoch-keyed LRU (fragment
+//!   and summary artifacts, adjacencies, whole-input cover trees,
+//!   candidate indexes), the shared "same-epoch hit, else upgrade the
+//!   newest older epoch" lookup, and the hit/miss counters.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use mdbscan_covertree::{CoverTree, CoverTreeSkeleton};
-use mdbscan_grid::{CandidateStats, GridIndex, GRID_MAX_DIM};
+use mdbscan_covertree::CoverTree;
+use mdbscan_grid::CandidateStats;
 use mdbscan_kcenter::{BuildOptions, CenterAdjacency, IncrementalNet, RadiusGuidedNet};
 use mdbscan_metric::{BatchMetric, PruneStats, PruningConfig};
 use mdbscan_obs::{Event, Phase, Recorder};
 use mdbscan_parallel::{Csr, ParallelConfig};
-use mdbscan_rp::{RpConfig, RpIndex, RpStats};
+use mdbscan_rp::{RpConfig, RpStats};
 
-use crate::approx::{approx_threshold, run_approx, ApproxArtifacts, ApproxReuse, ApproxStats};
+use crate::approx::{approx_threshold, run_approx, ApproxReuse, ApproxStats};
+use crate::cache::{
+    AdjKey, CacheKey, CachedArtifacts, EngineCache, EpochDelta, HitMiss, Lookup, NetKind,
+    DEFAULT_CACHE_CAPACITY, DELTA_HISTORY,
+};
+use crate::candidates::Candidates;
 use crate::error::DbscanError;
 use crate::exact::{ExactConfig, ExactStats};
 use crate::exact_covertree::{covertree_level, CoverTreeExactStats};
@@ -101,31 +119,6 @@ use crate::params::{ApproxParams, DbscanParams};
 use crate::steps::{run_exact_steps, StepArtifacts, StepsReuse, StepsUpgrade};
 use crate::store::{ChunkedStore, PointBuf};
 use crate::streaming::{StreamingApproxDbscan, StreamingFootprint, StreamingStats};
-
-/// Default number of fragment-artifact entries the engine retains.
-const DEFAULT_CACHE_CAPACITY: usize = 16;
-
-/// Entries the `ε`-keyed center-adjacency cache retains. The adjacency
-/// depends on `ε` only (not `MinPts`), so `(ε, MinPts)` sweeps share one
-/// entry per `ε` value; a handful covers any realistic sweep.
-const ADJACENCY_CACHE_CAPACITY: usize = 8;
-
-/// Whole-input cover-tree skeletons retained (one per recently queried
-/// epoch; older epochs grow into newer ones by insertion).
-const COVERTREE_CACHE_CAPACITY: usize = 4;
-
-/// Ingest deltas retained for incremental artifact upgrades. A cached
-/// artifact older than this many epochs falls back to a full recompute.
-const DELTA_HISTORY: usize = 128;
-
-/// Per-epoch grid indexes retained (one per recently queried
-/// `(epoch, cell)` pair; older epochs extend into newer ones).
-pub(crate) const GRID_CACHE_CAPACITY: usize = 4;
-
-/// Per-epoch random-projection indexes retained. The RP index is
-/// ε-independent (one per epoch covers every parameter probe), so a
-/// couple of epochs suffice; older epochs extend into newer ones.
-pub(crate) const RP_CACHE_CAPACITY: usize = 2;
 
 /// Which candidate-generation machinery the engine's solvers use for
 /// ε-ball scans and the center-adjacency build.
@@ -418,207 +411,6 @@ pub struct CacheStats {
     pub rp_entries: usize,
 }
 
-/// Which pipeline a cached fragment partition belongs to. The §3.1 and
-/// §3.2 pipelines derive different nets, so their artifacts must never
-/// collide even at equal `(ε, MinPts)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum NetKind {
-    Gonzalez,
-    CoverTree,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CacheKey {
-    pub(crate) kind: NetKind,
-    /// Epoch the artifacts were computed at: an epoch-`e` query can only
-    /// hit epoch-`e` entries, so stale artifacts are invalidated by
-    /// construction.
-    pub(crate) epoch: u64,
-    pub(crate) eps_bits: u64,
-    pub(crate) min_pts: usize,
-    /// `Some(ρ bits)` for Algorithm-2 summaries, `None` for the exact
-    /// pipelines — the two artifact families never collide even at equal
-    /// `(ε, MinPts)`.
-    pub(crate) rho_bits: Option<u64>,
-}
-
-/// A cached per-parameter artifact: the exact pipelines store Step-1/2
-/// outputs, the approximate pipeline its merged summary.
-pub(crate) enum CachedArtifacts {
-    Steps(Arc<StepArtifacts>),
-    Approx(Arc<ApproxArtifacts>),
-}
-
-impl CachedArtifacts {
-    fn heap_bytes(&self) -> usize {
-        match self {
-            CachedArtifacts::Steps(a) => a.heap_bytes(),
-            CachedArtifacts::Approx(a) => a.heap_bytes(),
-        }
-    }
-}
-
-/// A tiny exact-scan most-recent-first LRU: the working set is a
-/// handful of parameter probes, so a `Vec` scanned linearly beats any
-/// hash scheme. Shared by the fragment/summary cache, the adjacency
-/// cache, and the per-epoch cover-tree cache; capacity 0 disables
-/// insertion entirely.
-pub(crate) struct Lru<K, V> {
-    pub(crate) capacity: usize,
-    pub(crate) entries: Vec<(K, V)>,
-}
-
-impl<K: PartialEq, V> Lru<K, V> {
-    pub(crate) fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Looks up `key`, promoting a hit to most-recent.
-    fn promote(&mut self, key: &K) -> Option<&V> {
-        let pos = self.entries.iter().position(|(k, _)| k == key)?;
-        let entry = self.entries.remove(pos);
-        self.entries.insert(0, entry);
-        Some(&self.entries[0].1)
-    }
-
-    fn insert(&mut self, key: K, value: V) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.entries.retain(|(k, _)| k != &key);
-        self.entries.insert(0, (key, value));
-        self.entries.truncate(self.capacity);
-    }
-}
-
-/// The fragment/summary artifact cache, with typed accessors over the
-/// shared [`Lru`].
-pub(crate) type FragmentLru = Lru<CacheKey, CachedArtifacts>;
-
-impl FragmentLru {
-    fn get_steps(&mut self, key: &CacheKey) -> Option<Arc<StepArtifacts>> {
-        match self.promote(key)? {
-            CachedArtifacts::Steps(a) => Some(Arc::clone(a)),
-            CachedArtifacts::Approx(_) => None,
-        }
-    }
-
-    fn get_approx(&mut self, key: &CacheKey) -> Option<Arc<ApproxArtifacts>> {
-        match self.promote(key)? {
-            CachedArtifacts::Approx(a) => Some(Arc::clone(a)),
-            CachedArtifacts::Steps(_) => None,
-        }
-    }
-
-    /// The newest strictly-older-epoch Steps entry matching `key`'s
-    /// parameters — the upgrade base for an incremental Step-1/2 run.
-    fn best_steps_base(&self, key: &CacheKey) -> Option<(u64, Arc<StepArtifacts>)> {
-        let mut best: Option<(u64, Arc<StepArtifacts>)> = None;
-        for (k, v) in &self.entries {
-            if k.kind == key.kind
-                && k.eps_bits == key.eps_bits
-                && k.min_pts == key.min_pts
-                && k.rho_bits == key.rho_bits
-                && k.epoch < key.epoch
-            {
-                if let CachedArtifacts::Steps(a) = v {
-                    if best.as_ref().is_none_or(|(e, _)| k.epoch > *e) {
-                        best = Some((k.epoch, Arc::clone(a)));
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// Total heap bytes retained (diagnostic).
-    fn heap_bytes(&self) -> usize {
-        self.entries.iter().map(|(_, a)| a.heap_bytes()).sum()
-    }
-}
-
-/// Key of the `ε`-only center-adjacency cache: the adjacency is a pure
-/// function of (epoch, net, threshold, screening mode) — `MinPts` and
-/// `ρ` never enter. Cover-tree nets differ per level, so the level
-/// joins the key there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct AdjKey {
-    pub(crate) kind: NetKind,
-    pub(crate) epoch: u64,
-    pub(crate) level: i32,
-    pub(crate) threshold_bits: u64,
-    /// The per-edge bounds differ between screened and unscreened
-    /// builds (membership does not), so the two never share an entry.
-    pub(crate) pruned: bool,
-}
-
-/// Key of the per-epoch grid-index cache. The grid is a pure function
-/// of (epoch's points, cell side): the net never enters, so the exact
-/// and cover-tree pipelines share entries at equal `ε`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct GridKey {
-    pub(crate) epoch: u64,
-    /// Bits of the cell side `ε/√d` — each probed `ε` gets its own
-    /// aligned grid.
-    pub(crate) cell_bits: u64,
-}
-
-/// One published epoch's delta: which cover sets gained members, and
-/// how many points existed before — everything an incremental artifact
-/// upgrade needs.
-pub(crate) struct EpochDelta {
-    pub(crate) epoch: u64,
-    pub(crate) old_num_points: usize,
-    pub(crate) dirty_balls: Vec<u32>,
-}
-
-pub(crate) struct EngineCache {
-    pub(crate) fragments: FragmentLru,
-    pub(crate) adjacency: Lru<AdjKey, Arc<CenterAdjacency>>,
-    pub(crate) covertree: Lru<u64, Arc<CoverTreeSkeleton>>,
-    pub(crate) grids: Lru<GridKey, Arc<GridIndex>>,
-    /// Per-epoch random-projection indexes (the RP index is
-    /// ε-independent, so the epoch alone keys it; the config is fixed at
-    /// engine construction).
-    pub(crate) rps: Lru<u64, Arc<RpIndex>>,
-    /// Published ingest deltas, ascending by epoch, bounded by
-    /// [`DELTA_HISTORY`].
-    pub(crate) deltas: VecDeque<EpochDelta>,
-}
-
-impl EngineCache {
-    /// The union of dirty balls across epochs `(from, to]`, or `None`
-    /// when the delta history no longer covers that span (→ full
-    /// recompute). `old_n` sanity-checks that the upgrade base really
-    /// describes the point prefix present at `from`.
-    fn dirty_since(&self, from: u64, to: u64, old_n: usize) -> Option<Vec<u32>> {
-        let mut needed = from + 1;
-        let mut dirty: Vec<u32> = Vec::new();
-        for d in &self.deltas {
-            if d.epoch < needed {
-                continue;
-            }
-            if d.epoch != needed {
-                return None; // pruned history or a gap
-            }
-            if needed == from + 1 && d.old_num_points != old_n {
-                return None;
-            }
-            dirty.extend_from_slice(&d.dirty_balls);
-            if d.epoch == to {
-                dirty.sort_unstable();
-                dirty.dedup();
-                return Some(dirty);
-            }
-            needed += 1;
-        }
-        None
-    }
-}
-
 /// One published epoch: the contiguous point snapshot and the net over
 /// it. Immutable once published; readers hold it via `Arc`.
 pub(crate) struct EpochState<P> {
@@ -776,26 +568,6 @@ impl<P: Sync, M: BatchMetric<P>> MetricDbscanBuilder<P, M> {
         if let (Some(rec), Some(started)) = (&self.recorder, net_started) {
             rec.phase(Phase::NetBuild, started.elapsed());
         }
-        let adj_capacity = if self.cache_capacity == 0 {
-            0
-        } else {
-            ADJACENCY_CACHE_CAPACITY
-        };
-        let tree_capacity = if self.cache_capacity == 0 {
-            0
-        } else {
-            COVERTREE_CACHE_CAPACITY
-        };
-        let grid_capacity = if self.cache_capacity == 0 {
-            0
-        } else {
-            GRID_CACHE_CAPACITY
-        };
-        let rp_capacity = if self.cache_capacity == 0 {
-            0
-        } else {
-            RP_CACHE_CAPACITY
-        };
         Ok(MetricDbscan {
             metric: self.metric,
             rbar,
@@ -810,25 +582,13 @@ impl<P: Sync, M: BatchMetric<P>> MetricDbscanBuilder<P, M> {
                 net: Arc::new(net),
             })),
             writer: Mutex::new(None),
-            cache: Mutex::new(EngineCache {
-                fragments: Lru::new(self.cache_capacity),
-                adjacency: Lru::new(adj_capacity),
-                covertree: Lru::new(tree_capacity),
-                grids: Lru::new(grid_capacity),
-                rps: Lru::new(rp_capacity),
-                deltas: VecDeque::new(),
-            }),
+            cache: Mutex::new(EngineCache::new(self.cache_capacity, self.candidate_index)),
             pending_epoch: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            lookups: HitMiss::default(),
+            adj_lookups: HitMiss::default(),
+            index_lookups: HitMiss::default(),
             upgrade_count: AtomicU64::new(0),
-            adj_hits: AtomicU64::new(0),
-            adj_misses: AtomicU64::new(0),
-            grid_hits: AtomicU64::new(0),
-            grid_misses: AtomicU64::new(0),
-            rp_hits: AtomicU64::new(0),
-            rp_misses: AtomicU64::new(0),
             load_stats: None,
             load_micros: 0,
             recorder: self.recorder,
@@ -910,15 +670,13 @@ pub struct MetricDbscan<P, M> {
     /// window).
     pub(crate) pending_epoch: AtomicU64,
     pub(crate) publishes: AtomicU64,
-    pub(crate) hits: AtomicU64,
-    pub(crate) misses: AtomicU64,
+    /// Fragment/summary and whole-input cover-tree lookups.
+    pub(crate) lookups: HitMiss,
+    pub(crate) adj_lookups: HitMiss,
+    /// Lookups of the engine's one candidate index (grid or random
+    /// projection, per [`CandidateIndex`]).
+    pub(crate) index_lookups: HitMiss,
     pub(crate) upgrade_count: AtomicU64,
-    pub(crate) adj_hits: AtomicU64,
-    pub(crate) adj_misses: AtomicU64,
-    pub(crate) grid_hits: AtomicU64,
-    pub(crate) grid_misses: AtomicU64,
-    pub(crate) rp_hits: AtomicU64,
-    pub(crate) rp_misses: AtomicU64,
     /// Copied-bytes accounting from the load that produced this engine;
     /// `None` for engines built in-process.
     pub(crate) load_stats: Option<crate::persist::LoadStats>,
@@ -1164,55 +922,52 @@ impl<P: Clone + Sync, M: BatchMetric<P>> MetricDbscan<P, M> {
     /// Snapshot of the cache counters and occupancy.
     pub fn cache_stats(&self) -> CacheStats {
         let cache = self.cache_lock();
+        let (hits, misses) = self.lookups.get();
+        let (adjacency_hits, adjacency_misses) = self.adj_lookups.get();
+        // The one index LRU reports under its kind's fields; the other
+        // kind's stay zero, as does everything on the generic path.
+        let index = self.index_lookups.get();
+        let index = (index.0, index.1, cache.index.entries.len());
+        let ((grid_hits, grid_misses, grid_entries), (rp_hits, rp_misses, rp_entries)) =
+            match self.candidate_index {
+                CandidateIndex::Grid => (index, (0, 0, 0)),
+                _ => ((0, 0, 0), index),
+            };
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits,
+            misses,
             upgrades: self.upgrade_count.load(Ordering::Relaxed),
             entries: cache.fragments.entries.len(),
             covertree_cached: !cache.covertree.entries.is_empty(),
-            adjacency_hits: self.adj_hits.load(Ordering::Relaxed),
-            adjacency_misses: self.adj_misses.load(Ordering::Relaxed),
+            adjacency_hits,
+            adjacency_misses,
             adjacency_entries: cache.adjacency.entries.len(),
-            grid_hits: self.grid_hits.load(Ordering::Relaxed),
-            grid_misses: self.grid_misses.load(Ordering::Relaxed),
-            grid_entries: cache.grids.entries.len(),
-            rp_hits: self.rp_hits.load(Ordering::Relaxed),
-            rp_misses: self.rp_misses.load(Ordering::Relaxed),
-            rp_entries: cache.rps.entries.len(),
+            grid_hits,
+            grid_misses,
+            grid_entries,
+            rp_hits,
+            rp_misses,
+            rp_entries,
         }
     }
 
     /// Approximate heap bytes held by the fragment cache (diagnostic,
     /// for capacity tuning).
     pub fn cache_heap_bytes(&self) -> usize {
-        self.cache_lock().fragments.heap_bytes()
+        self.cache_lock().fragment_heap_bytes()
     }
 
     /// Drops every cached artifact (fragment/summary entries, cached
-    /// adjacencies, grid indexes, random-projection indexes, and the
-    /// whole-input cover trees). Counters and the ingest delta history
-    /// are preserved.
+    /// adjacencies, candidate indexes, and the whole-input cover
+    /// trees). Counters and the ingest delta history are preserved.
     pub fn clear_cache(&self) {
-        let mut cache = self.cache_lock();
-        cache.fragments.entries.clear();
-        cache.adjacency.entries.clear();
-        cache.covertree.entries.clear();
-        cache.grids.entries.clear();
-        cache.rps.entries.clear();
+        self.cache_lock().clear();
     }
 
-    fn count_lookup(&self, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        self.record_cache_event(hit);
-    }
-
-    /// Reports one cache lookup to the recorder, if any. Observational
-    /// only — every caller has already updated its own counters.
-    fn record_cache_event(&self, hit: bool) {
+    /// Counts one lookup into `pair` and reports it to the recorder, if
+    /// any (observational only).
+    pub(crate) fn count_lookup(&self, pair: &HitMiss, hit: bool) {
+        pair.count(hit);
         if let Some(rec) = &self.recorder {
             rec.event(
                 if hit {
@@ -1223,6 +978,11 @@ impl<P: Clone + Sync, M: BatchMetric<P>> MetricDbscan<P, M> {
                 1,
             );
         }
+    }
+
+    /// Counts one cross-epoch incremental reuse.
+    pub(crate) fn count_upgrade(&self) {
+        self.upgrade_count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Start of an artifact save, for the `ArtifactSave` phase; `None`
@@ -1453,24 +1213,37 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn report(
-        &self,
-        algorithm: AlgorithmKind,
-        t0: Instant,
-        hit: bool,
-        pruning: PruneStats,
-        candidates: CandidateStats,
-        rp: RpStats,
-        detail: RunDetail,
-    ) -> RunReport {
+    /// The run's report; the solver and its ledgers come from `detail`.
+    fn report(&self, t0: Instant, hit: bool, detail: RunDetail) -> RunReport {
+        let (algorithm, pruning, candidates, rp) = match &detail {
+            RunDetail::Exact(s) => (
+                AlgorithmKind::Exact,
+                s.pruning,
+                s.candidates,
+                RpStats::default(),
+            ),
+            RunDetail::Approx(s) => (AlgorithmKind::Approx, s.pruning, s.candidates, s.rp),
+            RunDetail::CoverTree(s) => (
+                AlgorithmKind::CoverTree,
+                s.steps.pruning,
+                s.steps.candidates,
+                RpStats::default(),
+            ),
+            RunDetail::Streaming { stats, .. } => (
+                AlgorithmKind::Streaming,
+                stats.pruning,
+                CandidateStats::default(),
+                stats.rp,
+            ),
+        };
+        let (cache_hits, cache_misses) = self.engine.lookups.get();
         let report = RunReport {
             algorithm,
             epoch: self.state.epoch,
             total_secs: t0.elapsed().as_secs_f64(),
             cache_hit: hit,
-            cache_hits: self.engine.hits.load(Ordering::Relaxed),
-            cache_misses: self.engine.misses.load(Ordering::Relaxed),
+            cache_hits,
+            cache_misses,
             pruning,
             candidates,
             rp,
@@ -1480,161 +1253,6 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
             record_run_phases(rec.as_ref(), &report);
         }
         report
-    }
-
-    /// Resolves this snapshot's ε-aligned grid index, or `None` to stay
-    /// on the generic path: the engine must have opted into
-    /// [`CandidateIndex::Grid`] *and* the metric must expose a
-    /// coordinate view of dimension `1..=GRID_MAX_DIM`.
-    ///
-    /// A same-epoch cached grid is a hit; otherwise the newest
-    /// older-epoch grid at the same cell side is *extended* by the
-    /// appended points' coordinates (counted as an upgrade). Either way
-    /// the resolution performs **zero distance evaluations** —
-    /// coordinate extraction and binning never consult the metric.
-    fn resolve_grid(&self, eps: f64) -> Option<Arc<GridIndex>> {
-        let engine = self.engine;
-        if engine.candidate_index != CandidateIndex::Grid {
-            return None;
-        }
-        let dim = engine.metric.grid_coords(&[], &mut Vec::new())?;
-        if dim == 0 || dim > GRID_MAX_DIM {
-            return None;
-        }
-        let cell = eps / (dim as f64).sqrt();
-        let probe_started = engine.recorder.as_ref().map(|_| Instant::now());
-        let finish = |g: Arc<GridIndex>| {
-            if let (Some(rec), Some(t)) = (&engine.recorder, probe_started) {
-                rec.phase(Phase::CandidateProbe, t.elapsed());
-            }
-            Some(g)
-        };
-        let key = GridKey {
-            epoch: self.state.epoch,
-            cell_bits: cell.to_bits(),
-        };
-        let (found, base) = {
-            let mut cache = engine.cache_lock();
-            match cache.grids.promote(&key).map(Arc::clone) {
-                Some(g) => (Some(g), None),
-                None => {
-                    // Newest older-epoch grid at the same cell side:
-                    // points are append-only, so it covers a prefix.
-                    let mut best: Option<(u64, Arc<GridIndex>)> = None;
-                    for (k, v) in &cache.grids.entries {
-                        if k.cell_bits == key.cell_bits
-                            && k.epoch < key.epoch
-                            && best.as_ref().is_none_or(|(e, _)| k.epoch > *e)
-                        {
-                            best = Some((k.epoch, Arc::clone(v)));
-                        }
-                    }
-                    (None, best.map(|(_, g)| g))
-                }
-            }
-        };
-        if let Some(g) = found {
-            engine.grid_hits.fetch_add(1, Ordering::Relaxed);
-            engine.record_cache_event(true);
-            return finish(g);
-        }
-        engine.grid_misses.fetch_add(1, Ordering::Relaxed);
-        engine.record_cache_event(false);
-        let points: &[P] = &self.state.points;
-        let built = match base {
-            Some(b) if b.len() == points.len() => {
-                engine.upgrade_count.fetch_add(1, Ordering::Relaxed);
-                b
-            }
-            Some(b) => {
-                let mut coords = Vec::with_capacity((points.len() - b.len()) * dim);
-                engine.metric.grid_coords(&points[b.len()..], &mut coords);
-                engine.upgrade_count.fetch_add(1, Ordering::Relaxed);
-                Arc::new(b.extend(&coords))
-            }
-            None => {
-                let mut coords = Vec::with_capacity(points.len() * dim);
-                engine.metric.grid_coords(points, &mut coords);
-                Arc::new(GridIndex::build(dim, cell, coords))
-            }
-        };
-        engine.cache_lock().grids.insert(key, Arc::clone(&built));
-        finish(built)
-    }
-
-    /// Resolves this snapshot's random-projection index, or `None` to
-    /// stay on the generic path: the engine must have opted into
-    /// [`CandidateIndex::RandomProjection`] *and* the metric must expose
-    /// a coordinate view (any dimension).
-    ///
-    /// The index is ε-independent, so the cache is keyed by epoch alone.
-    /// A same-epoch cached index is a hit; otherwise the newest
-    /// older-epoch index is *extended* by the appended points'
-    /// coordinates (counted as an upgrade) — the projection lists store
-    /// their values, so an extended index is bit-identical to a fresh
-    /// build over the concatenated sequence. Resolution performs **zero
-    /// distance evaluations**.
-    fn resolve_rp(&self) -> Option<Arc<RpIndex>> {
-        let engine = self.engine;
-        let CandidateIndex::RandomProjection(cfg) = engine.candidate_index else {
-            return None;
-        };
-        let dim = engine.metric.grid_coords(&[], &mut Vec::new())?;
-        if dim == 0 {
-            return None;
-        }
-        let probe_started = engine.recorder.as_ref().map(|_| Instant::now());
-        let finish = |r: Arc<RpIndex>| {
-            if let (Some(rec), Some(t)) = (&engine.recorder, probe_started) {
-                rec.phase(Phase::CandidateProbe, t.elapsed());
-            }
-            Some(r)
-        };
-        let key = self.state.epoch;
-        let (found, base) = {
-            let mut cache = engine.cache_lock();
-            match cache.rps.promote(&key).map(Arc::clone) {
-                Some(r) => (Some(r), None),
-                None => {
-                    // Newest older-epoch index: points are append-only,
-                    // so it covers a prefix of this epoch's points.
-                    let mut best: Option<(u64, Arc<RpIndex>)> = None;
-                    for (k, v) in &cache.rps.entries {
-                        if *k < key && best.as_ref().is_none_or(|(e, _)| *k > *e) {
-                            best = Some((*k, Arc::clone(v)));
-                        }
-                    }
-                    (None, best.map(|(_, r)| r))
-                }
-            }
-        };
-        if let Some(r) = found {
-            engine.rp_hits.fetch_add(1, Ordering::Relaxed);
-            engine.record_cache_event(true);
-            return finish(r);
-        }
-        engine.rp_misses.fetch_add(1, Ordering::Relaxed);
-        engine.record_cache_event(false);
-        let points: &[P] = &self.state.points;
-        let built = match base {
-            Some(b) if b.len() == points.len() => {
-                engine.upgrade_count.fetch_add(1, Ordering::Relaxed);
-                b
-            }
-            Some(b) => {
-                let mut coords = Vec::with_capacity((points.len() - b.len()) * dim);
-                engine.metric.grid_coords(&points[b.len()..], &mut coords);
-                engine.upgrade_count.fetch_add(1, Ordering::Relaxed);
-                Arc::new(b.extend(&coords))
-            }
-            None => {
-                let mut coords = Vec::with_capacity(points.len() * dim);
-                engine.metric.grid_coords(points, &mut coords);
-                Arc::new(RpIndex::build(dim, &coords, cfg))
-            }
-        };
-        engine.cache_lock().rps.insert(key, Arc::clone(&built));
-        finish(built)
     }
 
     /// Consults the epoch+`ε`-keyed adjacency cache. A same-epoch entry
@@ -1658,39 +1276,12 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
             pruned,
         };
         let engine = self.engine;
-        let (found, base) = {
-            let mut cache = engine.cache_lock();
-            match cache.adjacency.promote(&key).map(Arc::clone) {
-                Some(adj) => (Some(adj), None),
-                None if kind == NetKind::Gonzalez => {
-                    // Newest older-epoch entry at the same threshold:
-                    // centers are append-only, so it covers a prefix.
-                    let mut best: Option<(u64, Arc<CenterAdjacency>)> = None;
-                    for (k, v) in &cache.adjacency.entries {
-                        if k.kind == key.kind
-                            && k.level == key.level
-                            && k.threshold_bits == key.threshold_bits
-                            && k.pruned == key.pruned
-                            && k.epoch < key.epoch
-                            && best.as_ref().is_none_or(|(e, _)| k.epoch > *e)
-                        {
-                            best = Some((k.epoch, Arc::clone(v)));
-                        }
-                    }
-                    (None, best.map(|(_, adj)| adj))
-                }
-                None => (None, None),
-            }
-        };
-        if found.is_some() {
-            engine.adj_hits.fetch_add(1, Ordering::Relaxed);
-            engine.record_cache_event(true);
-            return (key, found);
-        }
-        engine.adj_misses.fetch_add(1, Ordering::Relaxed);
-        engine.record_cache_event(false);
-        let Some(base) = base else {
-            return (key, None);
+        let found = engine.cache_lock().adjacency.lookup(&key);
+        engine.count_lookup(&engine.adj_lookups, matches!(found, Lookup::Hit(_)));
+        let base = match found {
+            Lookup::Hit(adj) => return (key, Some(adj)),
+            Lookup::Base(_, base) => base,
+            Lookup::Miss => return (key, None),
         };
         let centers = &self.state.net.centers;
         let extended = if base.len() == centers.len() {
@@ -1706,7 +1297,7 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
                 parallel,
             ))
         };
-        engine.upgrade_count.fetch_add(1, Ordering::Relaxed);
+        engine.count_upgrade();
         self.store_adjacency(key, &extended);
         (key, Some(extended))
     }
@@ -1727,7 +1318,7 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
         cfg: &ExactConfig,
         kind: NetKind,
         level: i32,
-        grid: Option<Arc<GridIndex>>,
+        candidates: Candidates,
     ) -> (Clustering, ExactStats, bool) {
         let engine = self.engine;
         // Only the default Step-1/2 shape is cacheable: the ablation
@@ -1744,25 +1335,24 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
         // wholesale per epoch) an older epoch's artifacts plus the
         // ingest deltas separating them from this epoch.
         let mut upgrade_base: Option<(Arc<StepArtifacts>, Vec<u32>)> = None;
-        let cached: Option<Arc<StepArtifacts>> = if cacheable {
+        let mut cached: Option<Arc<StepArtifacts>> = None;
+        if cacheable {
             let mut cache = engine.cache_lock();
-            let found = cache.fragments.get_steps(&key);
-            if found.is_none() && kind == NetKind::Gonzalez {
-                if let Some((from, art)) = cache.fragments.best_steps_base(&key) {
-                    if let Some(dirty) = cache.dirty_since(from, key.epoch, art.is_core.len()) {
-                        upgrade_base = Some((art, dirty));
-                    }
+            match cache.fragments.lookup(&key) {
+                Lookup::Hit(CachedArtifacts::Steps(art)) => cached = Some(art),
+                Lookup::Base(from, CachedArtifacts::Steps(art)) => {
+                    upgrade_base = cache
+                        .dirty_since(from, key.epoch, art.is_core.len())
+                        .map(|dirty| (art, dirty));
                 }
+                _ => {}
             }
             drop(cache);
-            engine.count_lookup(found.is_some());
-            found
-        } else {
-            None
-        };
+            engine.count_lookup(&engine.lookups, cached.is_some());
+        }
         let hit = cached.is_some();
         if upgrade_base.is_some() {
-            engine.upgrade_count.fetch_add(1, Ordering::Relaxed);
+            engine.count_upgrade();
         }
         let threshold = 2.0 * view.rbar + params.eps();
         let (adj_key, adj_cached) =
@@ -1781,7 +1371,7 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
                     dirty_balls: dirty,
                 }),
                 adjacency: adj_cached,
-                grid,
+                candidates,
             },
         );
         if !adj_was_cached {
@@ -1814,18 +1404,10 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
     pub fn exact_with(&self, params: &DbscanParams, cfg: &ExactConfig) -> Result<Run, DbscanError> {
         let t0 = Instant::now();
         self.check_usable(params.eps() / 2.0)?;
-        let grid = self.resolve_grid(params.eps());
+        let candidates = self.resolve_candidates(params.eps(), AlgorithmKind::Exact);
         let (clustering, stats, hit) =
-            self.run_steps_cached(&self.view(), params, cfg, NetKind::Gonzalez, 0, grid);
-        let report = self.report(
-            AlgorithmKind::Exact,
-            t0,
-            hit,
-            stats.pruning,
-            stats.candidates,
-            RpStats::default(),
-            RunDetail::Exact(stats),
-        );
+            self.run_steps_cached(&self.view(), params, cfg, NetKind::Gonzalez, 0, candidates);
+        let report = self.report(t0, hit, RunDetail::Exact(stats));
         Ok(Run { clustering, report })
     }
 
@@ -1848,11 +1430,11 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
             min_pts: params.min_pts(),
             rho_bits: Some(params.rho().to_bits()),
         };
-        let cached: Option<Arc<ApproxArtifacts>> = {
-            let found = engine.cache_lock().fragments.get_approx(&key);
-            engine.count_lookup(found.is_some());
-            found
+        let cached = match engine.cache_lock().fragments.lookup(&key) {
+            Lookup::Hit(CachedArtifacts::Approx(art)) => Some(art),
+            _ => None,
         };
+        engine.count_lookup(&engine.lookups, cached.is_some());
         let hit = cached.is_some();
         let threshold = approx_threshold(view.rbar, params);
         let (adj_key, adj_cached) = self.lookup_adjacency(
@@ -1863,8 +1445,7 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
             &engine.parallel,
         );
         let adj_was_cached = adj_cached.is_some();
-        let grid = self.resolve_grid(params.eps());
-        let rp = self.resolve_rp();
+        let candidates = self.resolve_candidates(params.eps(), AlgorithmKind::Approx);
         let outcome = run_approx(
             &self.state.points,
             &engine.metric,
@@ -1875,8 +1456,7 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
             ApproxReuse {
                 artifacts: cached.as_deref(),
                 adjacency: adj_cached,
-                grid,
-                rp,
+                candidates,
             },
         );
         if !adj_was_cached {
@@ -1888,15 +1468,7 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
                 .fragments
                 .insert(key, CachedArtifacts::Approx(Arc::new(artifacts)));
         }
-        let report = self.report(
-            AlgorithmKind::Approx,
-            t0,
-            hit,
-            outcome.stats.pruning,
-            outcome.stats.candidates,
-            outcome.stats.rp,
-            RunDetail::Approx(outcome.stats),
-        );
+        let report = self.report(t0, hit, RunDetail::Approx(outcome.stats));
         Ok(Run {
             clustering: Clustering::from_labels(outcome.labels),
             report,
@@ -1933,69 +1505,45 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
         let engine = self.engine;
         let n = self.state.points.len();
         let t = Instant::now();
-        let (skeleton, tree_hit) = {
-            let (cached, base) = {
-                let mut cache = engine.cache_lock();
-                match cache.covertree.promote(&self.state.epoch).map(Arc::clone) {
-                    Some(s) => (Some(s), None),
-                    None => {
-                        // Largest cached prefix tree (points are
-                        // append-only, so any smaller epoch's tree is a
-                        // prefix of this epoch's).
-                        let mut best: Option<Arc<CoverTreeSkeleton>> = None;
-                        for (_, s) in &cache.covertree.entries {
-                            if s.len() <= n && best.as_ref().is_none_or(|b| s.len() > b.len()) {
-                                best = Some(Arc::clone(s));
-                            }
+        let found = engine.cache_lock().covertree.lookup(&self.state.epoch);
+        let tree_hit = matches!(found, Lookup::Hit(_));
+        let skeleton = match found {
+            Lookup::Hit(s) => s,
+            found => {
+                // Build (or grow) outside the lock so concurrent queries
+                // are not stalled behind the sequential construction; if
+                // two threads race, both produce the same (deterministic)
+                // tree and the first insertion wins.
+                let built = match found {
+                    // Points are append-only, so an older epoch's tree
+                    // covers a prefix: grow it by insertion.
+                    Lookup::Base(_, b) if b.len() <= n => {
+                        let mut tree = CoverTree::from_skeleton(
+                            &self.state.points,
+                            &engine.metric,
+                            (*b).clone(),
+                        );
+                        for i in b.len()..n {
+                            tree.insert(i);
                         }
-                        (None, best)
+                        engine.count_upgrade();
+                        Arc::new(tree.into_skeleton())
                     }
-                }
-            };
-            match (cached, base) {
-                (Some(s), _) => (s, true),
-                (None, base) => {
-                    // Build (or grow) outside the lock so concurrent
-                    // queries are not stalled behind the sequential
-                    // construction; if two threads race, both produce
-                    // the same (deterministic) tree and the first
-                    // insertion wins.
-                    let built = match base {
-                        Some(b) if b.len() == n => {
-                            engine.upgrade_count.fetch_add(1, Ordering::Relaxed);
-                            b
-                        }
-                        Some(b) => {
-                            let from = b.len();
-                            let mut tree = CoverTree::from_skeleton(
-                                &self.state.points,
-                                &engine.metric,
-                                (*b).clone(),
-                            );
-                            for i in from..n {
-                                tree.insert(i);
-                            }
-                            engine.upgrade_count.fetch_add(1, Ordering::Relaxed);
-                            Arc::new(tree.into_skeleton())
-                        }
-                        None => {
-                            let tree = CoverTree::build(&self.state.points, &engine.metric);
-                            Arc::new(tree.into_skeleton())
-                        }
-                    };
-                    let mut cache = engine.cache_lock();
-                    let kept = match cache.covertree.promote(&self.state.epoch) {
-                        Some(existing) => Arc::clone(existing),
-                        None => {
-                            cache.covertree.insert(self.state.epoch, Arc::clone(&built));
-                            built
-                        }
-                    };
-                    (kept, false)
-                }
+                    _ => Arc::new(
+                        CoverTree::build(&self.state.points, &engine.metric).into_skeleton(),
+                    ),
+                };
+                let mut cache = engine.cache_lock();
+                cache
+                    .covertree
+                    .promote(&self.state.epoch)
+                    .unwrap_or_else(|| {
+                        cache.covertree.insert(self.state.epoch, Arc::clone(&built));
+                        built
+                    })
             }
         };
-        engine.count_lookup(tree_hit);
+        engine.count_lookup(&engine.lookups, tree_hit);
         let tree =
             CoverTree::from_skeleton(&self.state.points, &engine.metric, (*skeleton).clone());
         let tree_secs = t.elapsed().as_secs_f64();
@@ -2013,9 +1561,9 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
             cover_sets: &cover_sets,
             dist_to_center: None,
         };
-        let grid = self.resolve_grid(params.eps());
+        let candidates = self.resolve_candidates(params.eps(), AlgorithmKind::CoverTree);
         let (clustering, steps, frag_hit) =
-            self.run_steps_cached(&view, params, cfg, NetKind::CoverTree, level, grid);
+            self.run_steps_cached(&view, params, cfg, NetKind::CoverTree, level, candidates);
         let detail = RunDetail::CoverTree(CoverTreeExactStats {
             tree_secs,
             net_secs,
@@ -2023,15 +1571,7 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
             n_centers: net.centers.len(),
             steps,
         });
-        let report = self.report(
-            AlgorithmKind::CoverTree,
-            t0,
-            tree_hit || frag_hit,
-            steps.pruning,
-            steps.candidates,
-            RpStats::default(),
-            detail,
-        );
+        let report = self.report(t0, tree_hit || frag_hit, detail);
         Ok(Run { clustering, report })
     }
 }
@@ -2046,7 +1586,10 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
     pub fn streaming(&self, params: &ApproxParams) -> Result<Run, DbscanError> {
         let t0 = Instant::now();
         let engine = self.engine;
-        let rp = self.resolve_rp();
+        let rp = match self.resolve_candidates(params.eps(), AlgorithmKind::Streaming) {
+            Candidates::Rp(rp) => Some(rp),
+            _ => None,
+        };
         let (clustering, session) = StreamingApproxDbscan::run_indexed(
             &engine.metric,
             params,
@@ -2060,15 +1603,7 @@ impl<'e, P: Clone + Sync, M: BatchMetric<P>> EngineSnapshot<'e, P, M> {
             stats,
             footprint: session.footprint(),
         };
-        let report = self.report(
-            AlgorithmKind::Streaming,
-            t0,
-            false,
-            stats.pruning,
-            CandidateStats::default(),
-            stats.rp,
-            detail,
-        );
+        let report = self.report(t0, false, detail);
         Ok(Run { clustering, report })
     }
 }

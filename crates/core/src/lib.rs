@@ -101,6 +101,8 @@
 #![deny(missing_docs)]
 
 mod approx;
+mod cache;
+mod candidates;
 mod engine;
 mod error;
 mod exact;

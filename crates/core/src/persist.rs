@@ -45,10 +45,12 @@ use mdbscan_persist::{
 };
 
 use crate::approx::ApproxArtifacts;
+use crate::cache::{
+    index_capacity, AdjKey, CacheKey, CachedArtifacts, EngineCache, EpochDelta, HitMiss, Lru,
+    NetKind,
+};
 use crate::engine::{
-    AdjKey, CacheKey, CachedArtifacts, CandidateIndex, EngineCache, EngineSnapshot, EpochDelta,
-    EpochState, IngestState, Lru, MetricDbscan, NetKind, NetStrategy, GRID_CACHE_CAPACITY,
-    RP_CACHE_CAPACITY,
+    CandidateIndex, EngineSnapshot, EpochState, IngestState, MetricDbscan, NetStrategy,
 };
 use crate::error::DbscanError;
 use crate::steps::StepArtifacts;
@@ -62,23 +64,20 @@ const SEC_DELTAS: &str = "deltas";
 const SEC_ADJACENCY: &str = "adjacency-cache";
 const SEC_FRAGMENTS: &str = "fragment-cache";
 const SEC_COVERTREES: &str = "covertree-cache";
-/// Grid candidate-index configuration. **Optional**: artifacts written
-/// before the grid subsystem existed simply lack it, and decode to
-/// [`CandidateIndex::Generic`] with default capacity and zeroed
-/// counters — so the `golden_v1` fixture (and any other v1 artifact)
-/// keeps loading bit-identically. The grid indexes themselves are
-/// never persisted: rebuilding them is pure coordinate arithmetic
-/// (zero distance evaluations), so only the toggle and its counters
-/// travel.
+/// The candidate-index configuration ([`CandidateIndex`], the RP seed
+/// and shape included) plus the grid's cache counters. **Optional**:
+/// artifacts written before the grid subsystem existed simply lack it,
+/// and decode to [`CandidateIndex::Generic`] with zeroed counters — so
+/// the `golden_v1` fixture (and any other v1 artifact) keeps loading
+/// bit-identically. The indexes themselves are never persisted:
+/// rebuilding them is pure coordinate arithmetic (zero distance
+/// evaluations, bit-identical for a fixed seed), so only the
+/// configuration and the counters travel.
 const SEC_GRID: &str = "grid-index";
-/// Random-projection candidate-index cache state. **Optional** like
-/// [`SEC_GRID`]: artifacts written before the RP subsystem existed
-/// simply lack it and decode to the default capacity with zeroed
-/// counters. The RP configuration itself (seed, K, m, probes) travels
-/// inside the candidate-index byte in [`SEC_GRID`]; the projection
-/// lists are never persisted — rebuilding them is pure seeded
-/// coordinate arithmetic (zero distance evaluations), bit-identical
-/// for a fixed seed.
+/// The random-projection index's cache counters. **Optional** like
+/// [`SEC_GRID`]. The engine keeps one index cache of its configured
+/// kind, whose counters land in that kind's section; the other
+/// section's counters are zero.
 const SEC_RP: &str = "rp-index";
 /// The metric's own state, for **self-contained** artifacts
 /// ([`MetricDbscan::save_self_contained`]). **Optional** like
@@ -155,8 +154,16 @@ fn decode_candidate_index(r: &mut ByteReader<'_>) -> Result<CandidateIndex, Pers
         0 => Ok(CandidateIndex::Generic),
         1 => Ok(CandidateIndex::Grid),
         2 => {
-            let cfg = mdbscan_rp::RpConfig::new(r.get_u64()?)
-                .projections(r.get_u32()?)
+            let seed = r.get_u64()?;
+            let projections = r.get_u32()?;
+            if projections > mdbscan_rp::MAX_PROJECTIONS {
+                return Err(r.err(format!(
+                    "{projections} random projections exceed the cap of {}",
+                    mdbscan_rp::MAX_PROJECTIONS
+                )));
+            }
+            let cfg = mdbscan_rp::RpConfig::new(seed)
+                .projections(projections)
                 .top_m(r.get_u32()?)
                 .probes(r.get_u32()?);
             Ok(CandidateIndex::RandomProjection(cfg))
@@ -165,83 +172,31 @@ fn decode_candidate_index(r: &mut ByteReader<'_>) -> Result<CandidateIndex, Pers
     }
 }
 
-/// The optional [`SEC_GRID`] payload, with the defaults an old artifact
-/// (no such section) decodes to.
-struct GridSection {
-    candidate_index: CandidateIndex,
-    grid_capacity: usize,
-    grid_hits: u64,
-    grid_misses: u64,
+/// One candidate-index section's cache state: the LRU capacity and the
+/// lifetime hit/miss pair. Absent sections decode to zeros. The
+/// capacity is written for format stability only: it is a function of
+/// the fragment capacity and the index kind ([`index_capacity`]), so
+/// loads re-derive it.
+#[derive(Default)]
+struct IndexSection {
+    capacity: usize,
+    hits: u64,
+    misses: u64,
 }
 
-impl GridSection {
+impl IndexSection {
     fn encode(&self, out: &mut ByteWriter) {
-        encode_candidate_index(out, self.candidate_index);
-        out.put_usize(self.grid_capacity);
-        out.put_u64(self.grid_hits);
-        out.put_u64(self.grid_misses);
+        out.put_usize(self.capacity);
+        out.put_u64(self.hits);
+        out.put_u64(self.misses);
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
         Ok(Self {
-            candidate_index: decode_candidate_index(r)?,
-            grid_capacity: r.get_usize()?,
-            grid_hits: r.get_u64()?,
-            grid_misses: r.get_u64()?,
+            capacity: r.get_usize()?,
+            hits: r.get_u64()?,
+            misses: r.get_u64()?,
         })
-    }
-
-    /// What a pre-grid artifact means: the generic path, the default
-    /// capacity derivation, cold counters.
-    fn absent(frag_capacity: usize) -> Self {
-        Self {
-            candidate_index: CandidateIndex::Generic,
-            grid_capacity: if frag_capacity == 0 {
-                0
-            } else {
-                GRID_CACHE_CAPACITY
-            },
-            grid_hits: 0,
-            grid_misses: 0,
-        }
-    }
-}
-
-/// The optional [`SEC_RP`] payload, with the defaults a pre-RP artifact
-/// (no such section) decodes to.
-struct RpSection {
-    rp_capacity: usize,
-    rp_hits: u64,
-    rp_misses: u64,
-}
-
-impl RpSection {
-    fn encode(&self, out: &mut ByteWriter) {
-        out.put_usize(self.rp_capacity);
-        out.put_u64(self.rp_hits);
-        out.put_u64(self.rp_misses);
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            rp_capacity: r.get_usize()?,
-            rp_hits: r.get_u64()?,
-            rp_misses: r.get_u64()?,
-        })
-    }
-
-    /// What a pre-RP artifact means: the default capacity derivation,
-    /// cold counters.
-    fn absent(frag_capacity: usize) -> Self {
-        Self {
-            rp_capacity: if frag_capacity == 0 {
-                0
-            } else {
-                RP_CACHE_CAPACITY
-            },
-            rp_hits: 0,
-            rp_misses: 0,
-        }
     }
 }
 
@@ -513,6 +468,53 @@ fn encode_epoch_state<P: PersistPoint>(w: &mut ArtifactWriter, state: &EpochStat
     state.net.encode(w.section(SEC_NET));
 }
 
+impl<P: Clone + Sync, M: BatchMetric<P>> MetricDbscan<P, M> {
+    /// Writes the engine and candidate-index sections: the
+    /// configuration, the cache capacities, and — for a full engine
+    /// (`live`) — the lifetime counters. A snapshot carries cold ones.
+    fn encode_config(&self, w: &mut ArtifactWriter, cache: &EngineCache, epoch: u64, live: bool) {
+        let count = |v: u64| if live { v } else { 0 };
+        let pair = |c: &HitMiss| {
+            let (hits, misses) = c.get();
+            (count(hits), count(misses))
+        };
+        let ((hits, misses), (adj_hits, adj_misses)) =
+            (pair(&self.lookups), pair(&self.adj_lookups));
+        let frag_capacity = cache.fragments.capacity;
+        EngineSection {
+            rbar: self.rbar,
+            max_centers: self.max_centers,
+            strategy: self.strategy,
+            pruning: self.pruning,
+            frag_capacity,
+            adj_capacity: cache.adjacency.capacity,
+            tree_capacity: cache.covertree.capacity,
+            epoch,
+            publishes: count(self.publishes.load(Ordering::Relaxed)),
+            hits,
+            misses,
+            upgrades: count(self.upgrade_count.load(Ordering::Relaxed)),
+            adj_hits,
+            adj_misses,
+        }
+        .encode(w.section(SEC_ENGINE));
+        // The one index cache reports in its kind's section (a generic
+        // engine's counters are zero).
+        let (hits, misses) = pair(&self.index_lookups);
+        let grid = self.candidate_index == CandidateIndex::Grid;
+        let section = |kind, own: bool| IndexSection {
+            capacity: index_capacity(frag_capacity, kind),
+            hits: if own { hits } else { 0 },
+            misses: if own { misses } else { 0 },
+        };
+        let s = w.section(SEC_GRID);
+        encode_candidate_index(s, self.candidate_index);
+        section(CandidateIndex::Grid, grid).encode(s);
+        let rp = CandidateIndex::RandomProjection(mdbscan_rp::RpConfig::default());
+        section(rp, !grid).encode(w.section(SEC_RP));
+    }
+}
+
 impl<P, M> MetricDbscan<P, M>
 where
     P: PersistPoint + Clone + Sync,
@@ -574,36 +576,7 @@ where
         let state = self.publish_locked(&writer);
         let mut w = ArtifactWriter::new(ArtifactKind::Engine, P::TYPE_TAG, M::METRIC_TAG);
         let cache = self.cache_lock();
-        EngineSection {
-            rbar: self.rbar,
-            max_centers: self.max_centers,
-            strategy: self.strategy,
-            pruning: self.pruning,
-            frag_capacity: cache.fragments.capacity,
-            adj_capacity: cache.adjacency.capacity,
-            tree_capacity: cache.covertree.capacity,
-            epoch: state.epoch,
-            publishes: self.publishes.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            upgrades: self.upgrade_count.load(Ordering::Relaxed),
-            adj_hits: self.adj_hits.load(Ordering::Relaxed),
-            adj_misses: self.adj_misses.load(Ordering::Relaxed),
-        }
-        .encode(w.section(SEC_ENGINE));
-        GridSection {
-            candidate_index: self.candidate_index,
-            grid_capacity: cache.grids.capacity,
-            grid_hits: self.grid_hits.load(Ordering::Relaxed),
-            grid_misses: self.grid_misses.load(Ordering::Relaxed),
-        }
-        .encode(w.section(SEC_GRID));
-        RpSection {
-            rp_capacity: cache.rps.capacity,
-            rp_hits: self.rp_hits.load(Ordering::Relaxed),
-            rp_misses: self.rp_misses.load(Ordering::Relaxed),
-        }
-        .encode(w.section(SEC_RP));
+        self.encode_config(&mut w, &cache, state.epoch, true);
         encode_epoch_state(&mut w, &state);
 
         let s = w.section(SEC_WRITER);
@@ -765,14 +738,21 @@ where
         let mut s = art.require_section(SEC_ENGINE)?;
         let cfg = EngineSection::decode(&mut s)?;
 
-        let grid = match art.section(SEC_GRID) {
-            Some(mut s) => GridSection::decode(&mut s)?,
-            None => GridSection::absent(cfg.frag_capacity),
+        let (candidate_index, grid) = match art.section(SEC_GRID) {
+            Some(mut s) => (
+                decode_candidate_index(&mut s)?,
+                IndexSection::decode(&mut s)?,
+            ),
+            None => (CandidateIndex::Generic, IndexSection::default()),
         };
-
         let rp = match art.section(SEC_RP) {
-            Some(mut s) => RpSection::decode(&mut s)?,
-            None => RpSection::absent(cfg.frag_capacity),
+            Some(mut s) => IndexSection::decode(&mut s)?,
+            None => IndexSection::default(),
+        };
+        let index_lookups = match candidate_index {
+            CandidateIndex::Grid => HitMiss::new(grid.hits, grid.misses),
+            CandidateIndex::RandomProjection(_) => HitMiss::new(rp.hits, rp.misses),
+            CandidateIndex::Generic => HitMiss::default(),
         };
 
         let mut s = art.require_section(SEC_POINTS)?;
@@ -969,8 +949,8 @@ where
 
         Ok(DecodedEngine {
             cfg,
-            grid,
-            rp,
+            candidate_index,
+            index_lookups,
             points,
             net,
             writer,
@@ -987,8 +967,8 @@ where
     fn assemble(parts: DecodedEngine<P>, metric: M) -> Self {
         let DecodedEngine {
             cfg,
-            grid,
-            rp,
+            candidate_index,
+            index_lookups,
             points,
             net,
             writer,
@@ -1005,7 +985,7 @@ where
             pruning: cfg.pruning,
             max_centers: cfg.max_centers,
             strategy: cfg.strategy,
-            candidate_index: grid.candidate_index,
+            candidate_index,
             current: RwLock::new(Arc::new(EpochState {
                 epoch: cfg.epoch,
                 points,
@@ -1016,21 +996,15 @@ where
                 fragments,
                 adjacency,
                 covertree,
-                grids: Lru::new(grid.grid_capacity),
-                rps: Lru::new(rp.rp_capacity),
+                index: Lru::new(index_capacity(cfg.frag_capacity, candidate_index)),
                 deltas,
             }),
             pending_epoch: AtomicU64::new(cfg.epoch),
             publishes: AtomicU64::new(cfg.publishes),
-            hits: AtomicU64::new(cfg.hits),
-            misses: AtomicU64::new(cfg.misses),
+            lookups: HitMiss::new(cfg.hits, cfg.misses),
+            adj_lookups: HitMiss::new(cfg.adj_hits, cfg.adj_misses),
+            index_lookups,
             upgrade_count: AtomicU64::new(cfg.upgrades),
-            adj_hits: AtomicU64::new(cfg.adj_hits),
-            adj_misses: AtomicU64::new(cfg.adj_misses),
-            grid_hits: AtomicU64::new(grid.grid_hits),
-            grid_misses: AtomicU64::new(grid.grid_misses),
-            rp_hits: AtomicU64::new(rp.rp_hits),
-            rp_misses: AtomicU64::new(rp.rp_misses),
             load_stats: Some(stats),
             // Callers overwrite with the measured wall clock; a
             // recorder is attached post-load via `with_recorder`.
@@ -1162,8 +1136,8 @@ where
 /// (non-`Clone`) metric value.
 struct DecodedEngine<P> {
     cfg: EngineSection,
-    grid: GridSection,
-    rp: RpSection,
+    candidate_index: CandidateIndex,
+    index_lookups: HitMiss,
     points: PointBuf<P>,
     net: Arc<RadiusGuidedNet>,
     writer: Option<IngestState<P>>,
@@ -1189,46 +1163,7 @@ where
         let engine = self.engine;
         let started = engine.record_save_start();
         let mut w = ArtifactWriter::new(ArtifactKind::Snapshot, P::TYPE_TAG, M::METRIC_TAG);
-        let (frag_capacity, adj_capacity, tree_capacity, grid_capacity, rp_capacity) = {
-            let cache = engine.cache_lock();
-            (
-                cache.fragments.capacity,
-                cache.adjacency.capacity,
-                cache.covertree.capacity,
-                cache.grids.capacity,
-                cache.rps.capacity,
-            )
-        };
-        EngineSection {
-            rbar: engine.rbar,
-            max_centers: engine.max_centers,
-            strategy: engine.strategy,
-            pruning: engine.pruning,
-            frag_capacity,
-            adj_capacity,
-            tree_capacity,
-            epoch: self.state.epoch,
-            publishes: 0,
-            hits: 0,
-            misses: 0,
-            upgrades: 0,
-            adj_hits: 0,
-            adj_misses: 0,
-        }
-        .encode(w.section(SEC_ENGINE));
-        GridSection {
-            candidate_index: engine.candidate_index,
-            grid_capacity,
-            grid_hits: 0,
-            grid_misses: 0,
-        }
-        .encode(w.section(SEC_GRID));
-        RpSection {
-            rp_capacity,
-            rp_hits: 0,
-            rp_misses: 0,
-        }
-        .encode(w.section(SEC_RP));
+        engine.encode_config(&mut w, &engine.cache_lock(), self.state.epoch, false);
         encode_epoch_state(&mut w, &self.state);
         w.write_file(path)?;
         engine.record_save_done(started);

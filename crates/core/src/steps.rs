@@ -52,13 +52,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mdbscan_covertree::{CoverTree, CoverTreeSkeleton};
-use mdbscan_grid::{CandidateStats, GridIndex};
+use mdbscan_grid::CandidateStats;
 use mdbscan_kcenter::CenterAdjacency;
 use mdbscan_metric::{BatchMetric, CountingMetric, PruneStats, PruningConfig};
-use mdbscan_parallel::{
-    par_map_ranges, split_even, split_weighted, worker_count, Csr, ParallelConfig,
-};
+use mdbscan_parallel::{par_map_ranges, split_weighted, Csr, ParallelConfig};
 
+use crate::candidates::{par_probe, Candidates, Ledger, Probe, Scan};
 use crate::labels::PointLabel;
 use crate::netview::NetView;
 use crate::params::DbscanParams;
@@ -247,12 +246,9 @@ pub(crate) struct StepsReuse<'a> {
     pub(crate) artifacts: Option<&'a StepArtifacts>,
     pub(crate) upgrade: Option<StepsUpgrade<'a>>,
     pub(crate) adjacency: Option<Arc<CenterAdjacency>>,
-    /// ε-aligned grid over the current epoch's points (cell side
-    /// `ε/√d`). When present, the adjacency build and Steps 1/3 draw
-    /// their candidates from ring cells instead of the neighbor cover
-    /// sets — bit-identical labels, far fewer distance evaluations on
-    /// low-dimensional Euclidean data. `None` keeps the generic path.
-    pub(crate) grid: Option<Arc<GridIndex>>,
+    /// Where the adjacency build and Steps 1/3 draw their candidates
+    /// from. Never [`Candidates::Rp`]: this pipeline stays exact.
+    pub(crate) candidates: Candidates,
 }
 
 /// Everything one Steps-1–3 run produces: labels, stats, and the
@@ -315,54 +311,34 @@ fn run_steps_inner<P: Sync, M: BatchMetric<P> + Sync>(
     // Neighbor-ball adjacency at 2r̄ + ε (definition (1)); Lemma 2 then
     // confines every ε-ball to its neighbor cover sets. An `ε`-matching
     // cached adjacency replays for free.
-    let grid: Option<&GridIndex> = reuse.grid.as_deref();
+    debug_assert!(
+        !matches!(reuse.candidates, Candidates::Rp(_)),
+        "the exact pipeline never samples candidates"
+    );
+    let mut ledger = Ledger::default();
     let t = Instant::now();
     let evals_before = tick();
-    let adj: Arc<CenterAdjacency> = match reuse.adjacency {
-        Some(adj) => {
-            debug_assert_eq!(adj.threshold, 2.0 * net.rbar + eps, "adjacency cache mixup");
-            adj
-        }
-        None => match grid {
-            Some(g) => {
-                // Grid path: ring cells over the center coordinates
-                // replace the all-pairs sweep; surviving pairs are
-                // evaluated exactly, so the edge set (and every label
-                // downstream) matches the generic build bit-for-bit.
-                let dim = g.dim();
-                let mut coords = Vec::with_capacity(net.centers.len() * dim);
-                for &c in net.centers {
-                    coords.extend_from_slice(g.point_coords(c));
-                }
-                let (built, cand) = CenterAdjacency::build_grid(
-                    points,
-                    metric,
-                    net.centers,
-                    2.0 * net.rbar + eps,
-                    &cfg.parallel,
-                    dim,
-                    coords,
-                );
-                stats.candidates.merge(&cand);
-                Arc::new(built)
-            }
-            None => {
-                let built = CenterAdjacency::build_pruned(
-                    points,
-                    metric,
-                    net.centers,
-                    2.0 * net.rbar + eps,
-                    &cfg.parallel,
-                    &cfg.pruning,
-                );
-                stats.pruning.merge(&built.pruning);
-                Arc::new(built)
-            }
-        },
-    };
+    let adj = reuse.candidates.center_adjacency(
+        reuse.adjacency,
+        points,
+        metric,
+        net,
+        2.0 * net.rbar + eps,
+        &cfg.parallel,
+        &cfg.pruning,
+        &mut ledger,
+    );
     stats.adjacency_evals = tick() - evals_before;
     stats.adjacency_secs = t.elapsed().as_secs_f64();
     stats.mean_adjacency_degree = adj.mean_degree();
+    let scan = Scan {
+        points,
+        metric,
+        net: *net,
+        adj: &adj,
+        pruning: &cfg.pruning,
+        source: &reuse.candidates,
+    };
 
     // ---- Step 1: core labeling, parallel over points ----
     // With cached artifacts the whole step replays from the cache (the
@@ -403,67 +379,21 @@ fn run_steps_inner<P: Sync, M: BatchMetric<P> + Sync>(
             .filter(|&e| dense[e])
             .map(|e| net.cover_sets.row_len(e))
             .sum();
-        let w = worker_count(threads, n, STEP_MIN_PER_THREAD);
-        let chunks = par_map_ranges(split_even(n, w), |r| {
-            let mut ps = PruneStats::default();
-            let mut cs = CandidateStats::default();
-            let mut cells: Vec<u32> = Vec::new();
-            let flags: Vec<bool> = r
-                .map(|p| {
-                    let e = net.assignment[p] as usize;
-                    if let (Some(u), Some(aff)) = (upgrade, affected.as_ref()) {
-                        if p < u.artifacts.is_core.len() {
-                            if u.artifacts.is_core[p] {
-                                return true; // cores stay core under ingest
-                            }
-                            if !aff[e] {
-                                return false; // neighborhood untouched
-                            }
-                        }
+        let (flags, step1) = par_probe(threads, n, STEP_MIN_PER_THREAD, |p, probe| {
+            let e = net.assignment[p] as usize;
+            if let (Some(u), Some(aff)) = (upgrade, affected.as_ref()) {
+                if p < u.artifacts.is_core.len() {
+                    if u.artifacts.is_core[p] {
+                        return true; // cores stay core under ingest
                     }
-                    if dense[e] {
-                        return true;
+                    if !aff[e] {
+                        return false; // neighborhood untouched
                     }
-                    match grid {
-                        // Grid path: whole in-range cells count for
-                        // free; only boundary-cell members consult the
-                        // metric. Both sides of the `≥ MinPts` predicate
-                        // see the same ε-ball, so the flag is identical.
-                        Some(g) => {
-                            g.count_within_capped(
-                                g.point_coords(p),
-                                eps,
-                                min_pts,
-                                &mut cells,
-                                &mut cs,
-                                |q| metric.within(&points[p], &points[q as usize], eps),
-                            ) >= min_pts
-                        }
-                        None => {
-                            count_neighbors_capped(
-                                points,
-                                metric,
-                                net,
-                                &adj,
-                                e,
-                                p,
-                                eps,
-                                min_pts,
-                                &cfg.pruning,
-                                &mut ps,
-                            ) >= min_pts
-                        }
-                    }
-                })
-                .collect();
-            (flags, ps, cs)
+                }
+            }
+            dense[e] || scan.is_core(p, e, eps, min_pts, probe)
         });
-        let mut flags = Vec::with_capacity(n);
-        for (chunk, ps, cs) in chunks {
-            flags.extend(chunk);
-            stats.pruning.merge(&ps);
-            stats.candidates.merge(&cs);
-        }
+        ledger.merge(&step1);
         Some(flags)
     };
     let is_core: &[bool] = match reuse.artifacts {
@@ -655,11 +585,11 @@ fn run_steps_inner<P: Sync, M: BatchMetric<P> + Sync>(
             if cfg.pruning.enabled {
                 let slack = frag_radius[e] + frag_radius[e2u];
                 if lb - slack > eps {
-                    stats.pruning.bound_rejects += 1;
+                    ledger.pruning.bound_rejects += 1;
                     continue;
                 }
                 if ub + slack <= eps {
-                    stats.pruning.bound_accepts += 1;
+                    ledger.pruning.bound_accepts += 1;
                     candidates.push((e as u32, e2, true, lb));
                     continue;
                 }
@@ -762,7 +692,7 @@ fn run_steps_inner<P: Sync, M: BatchMetric<P> + Sync>(
         stats.bcp_tests = tested;
         stats.bcp_connected = connected + free_connected;
     }
-    stats.pruning.probe_rejects += probe_rejects.load(Ordering::Relaxed);
+    ledger.pruning.probe_rejects += probe_rejects.load(Ordering::Relaxed);
     stats.merge_evals = tick() - evals_before;
     stats.merge_secs = t.elapsed().as_secs_f64();
 
@@ -770,55 +700,21 @@ fn run_steps_inner<P: Sync, M: BatchMetric<P> + Sync>(
     let t = Instant::now();
     let evals_before = tick();
     let cluster_of_center = uf.component_ids();
-    let w = worker_count(threads, n, STEP_MIN_PER_THREAD);
-    let chunks = par_map_ranges(split_even(n, w), |r| {
-        let mut ps = PruneStats::default();
-        let mut cs = CandidateStats::default();
-        let mut scratch = AnchorScratch::default();
-        let labels: Vec<PointLabel> = r
-            .map(|pi| {
-                if is_core[pi] {
-                    let e = net.assignment[pi] as usize;
-                    return PointLabel::Core(cluster_of_center[e]);
-                }
-                match grid {
-                    Some(g) => assign_border_grid(
-                        points,
-                        metric,
-                        net,
-                        g,
-                        is_core,
-                        &cluster_of_center,
-                        pi,
-                        eps,
-                        &mut cs,
-                    ),
-                    None => assign_border(
-                        points,
-                        metric,
-                        net,
-                        &adj,
-                        fragments,
-                        frag_radius,
-                        &trees,
-                        &cluster_of_center,
-                        pi,
-                        eps,
-                        &cfg.pruning,
-                        &mut scratch,
-                        &mut ps,
-                    ),
-                }
-            })
-            .collect();
-        (labels, ps, cs)
+    let (labels, step3) = par_probe(threads, n, STEP_MIN_PER_THREAD, |pi, probe| {
+        if is_core[pi] {
+            return PointLabel::Core(cluster_of_center[net.assignment[pi] as usize]);
+        }
+        let core_center = |q: u32| is_core[q as usize].then(|| net.assignment[q as usize]);
+        scan.nearest(pi, eps, core_center, probe, |probe| {
+            nearest_fragment(&scan, fragments, frag_radius, &trees, pi, eps, probe)
+        })
+        .map_or(PointLabel::Noise, |e2| {
+            PointLabel::Border(cluster_of_center[e2 as usize])
+        })
     });
-    let mut labels = Vec::with_capacity(n);
-    for (chunk, ps, cs) in chunks {
-        labels.extend(chunk);
-        stats.pruning.merge(&ps);
-        stats.candidates.merge(&cs);
-    }
+    ledger.merge(&step3);
+    stats.pruning = ledger.pruning;
+    stats.candidates = ledger.grid;
     stats.assign_evals = tick() - evals_before;
     stats.assign_secs = t.elapsed().as_secs_f64();
 
@@ -849,219 +745,34 @@ fn run_steps_inner<P: Sync, M: BatchMetric<P> + Sync>(
     }
 }
 
-/// Reusable per-worker buffers for the anchored scans: the neighbor
-/// centers selected for anchoring, their batched distances, and the
-/// own-center substitution slots.
-#[derive(Default)]
-pub(crate) struct AnchorScratch {
-    ids: Vec<u32>,
-    evals: Vec<f64>,
-    own_slots: Vec<bool>,
-    pub(crate) anchors: Vec<f64>,
-}
-
-impl AnchorScratch {
-    /// One batched [`BatchMetric::dist_many`] call evaluating
-    /// `dis(p, c_{e'})` for every neighbor center in `row` whose group
-    /// (as reported by `group_len`) passes the anchoring gate. The
-    /// caller walks `row` again with the same gate, consuming
-    /// `self.anchors` in order.
-    ///
-    /// `own` short-circuits the point's **own** center: the net already
-    /// stores `dis(p, c_p)` exactly, so when center position `own.0`
-    /// shows up in the row its slot is filled with `own.1` instead of
-    /// spending an evaluation on a distance we hold.
-    #[allow(clippy::too_many_arguments)] // per-worker hot-loop helper
-    pub(crate) fn anchor_rows<P, M: BatchMetric<P>>(
-        &mut self,
-        points: &[P],
-        metric: &M,
-        net: &NetView<'_>,
-        row: &[u32],
-        group_len: impl Fn(usize) -> usize,
-        p: usize,
-        own: Option<(u32, f64)>,
-        pruning: &PruningConfig,
-        ps: &mut PruneStats,
-    ) {
-        self.ids.clear();
-        self.own_slots.clear();
-        self.anchors.clear();
-        if !pruning.enabled {
-            return;
-        }
-        for &e2 in row {
-            if group_len(e2 as usize) >= pruning.min_anchor_group {
-                match own {
-                    Some((oe, _)) if oe == e2 => self.own_slots.push(true),
-                    _ => {
-                        self.own_slots.push(false);
-                        self.ids.push(net.centers[e2 as usize] as u32);
-                    }
-                }
-            }
-        }
-        if !self.ids.is_empty() {
-            metric.dist_many(points, &points[p], &self.ids, &mut self.evals);
-            ps.anchor_evals += self.ids.len() as u64;
-        } else {
-            self.evals.clear();
-        }
-        let mut cursor = 0usize;
-        for &is_own in &self.own_slots {
-            if is_own {
-                self.anchors.push(own.expect("own slot recorded").1);
-            } else {
-                self.anchors.push(self.evals[cursor]);
-                cursor += 1;
-            }
-        }
-    }
-}
-
-/// `|B(p, ε) ∩ X|`, counted over the neighbor cover sets of `p`'s center
-/// `e` and capped at `cap` (early termination — only the `≥ MinPts`
-/// predicate is needed).
-///
-/// With pruning, one anchor evaluation `dis(p, c_{e'})` per
-/// sufficiently large neighbor ball sandwiches each member's distance:
-/// `dis(p, q) ∈ [|a − dis(q, c)|, a + dis(q, c)]`, so most members are
-/// counted (upper bound within `ε`) or discarded (lower bound beyond
-/// `ε`) without an evaluation. Anchors are paid **lazily, per ball** —
-/// a scan that reaches `cap` in its first ball never anchors the rest —
-/// and the point's own ball reuses the net's stored `dis(p, c_p)` for
-/// free. The returned count may exceed `cap` by a group-accept, but the
-/// `≥ cap` predicate — the only thing callers read — is exact.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's Step 1 signature
-pub(crate) fn count_neighbors_capped<P, M: BatchMetric<P>>(
-    points: &[P],
-    metric: &M,
-    net: &NetView<'_>,
-    adj: &CenterAdjacency,
-    e: usize,
-    p: usize,
-    eps: f64,
-    cap: usize,
-    pruning: &PruningConfig,
-    ps: &mut PruneStats,
-) -> usize {
-    let row = adj.neighbors.row(e);
-    let mut count = 0usize;
-    for &e2 in row {
-        let e2 = e2 as usize;
-        let cover = net.cover_sets.row(e2);
-        let anchor = if pruning.enabled && cover.len() >= pruning.min_anchor_group {
-            Some(match net.dist_to_center {
-                // The own ball's anchor is already on record.
-                Some(d2c) if e2 == e => d2c[p],
-                _ => {
-                    ps.anchor_evals += 1;
-                    metric.distance(&points[p], &points[net.centers[e2]])
-                }
-            })
-        } else {
-            None
-        };
-        match (anchor, net.dist_to_center) {
-            (Some(a), Some(d2c)) => {
-                for &q in cover {
-                    let dq = d2c[q as usize];
-                    if a + dq <= eps {
-                        ps.bound_accepts += 1;
-                        count += 1;
-                    } else if (a - dq).abs() > eps {
-                        ps.bound_rejects += 1;
-                    } else if metric.within(&points[p], &points[q as usize], eps) {
-                        count += 1;
-                    }
-                    if count >= cap {
-                        return count;
-                    }
-                }
-            }
-            (Some(a), None) => {
-                // Only the covering radius bounds dis(q, c): whole-group
-                // decisions at `r̄` granularity.
-                if a + net.rbar <= eps {
-                    ps.bound_accepts += cover.len() as u64;
-                    count += cover.len();
-                    if count >= cap {
-                        return count;
-                    }
-                } else if a - net.rbar > eps {
-                    ps.bound_rejects += cover.len() as u64;
-                } else {
-                    for &q in cover {
-                        if metric.within(&points[p], &points[q as usize], eps) {
-                            count += 1;
-                            if count >= cap {
-                                return count;
-                            }
-                        }
-                    }
-                }
-            }
-            (None, _) => {
-                for &q in cover {
-                    if metric.within(&points[p], &points[q as usize], eps) {
-                        count += 1;
-                        if count >= cap {
-                            return count;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    count
-}
-
-/// Step 3 for one non-core point: nearest core point among neighbor
-/// fragments; ties break toward the earlier center (ascending adjacency
-/// rows + strict `<`). Anchored fragments whose triangle lower bound
-/// exceeds the current best are skipped without touching them.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's Step 3 signature
-fn assign_border<P, M: BatchMetric<P>>(
-    points: &[P],
-    metric: &M,
-    net: &NetView<'_>,
-    adj: &CenterAdjacency,
+/// Step 3's generic scan for one non-core point: the center of the
+/// nearest core point among neighbor fragments; ties break toward the
+/// earlier center (ascending adjacency rows + strict `<`). Anchored
+/// fragments whose triangle lower bound exceeds the current best are
+/// skipped without touching them.
+fn nearest_fragment<P, M: BatchMetric<P>>(
+    scan: &Scan<'_, P, M>,
     fragments: &Csr,
     frag_radius: &[f64],
     trees: &[Option<CoverTree<'_, P, M>>],
-    cluster_of_center: &[u32],
     pi: usize,
     eps: f64,
-    pruning: &PruningConfig,
-    scratch: &mut AnchorScratch,
-    ps: &mut PruneStats,
-) -> PointLabel {
-    let e = net.assignment[pi] as usize;
-    let row = adj.neighbors.row(e);
-    let own = net.dist_to_center.map(|d2c| (e as u32, d2c[pi]));
-    scratch.anchor_rows(
-        points,
-        metric,
-        net,
-        row,
-        |e2| fragments.row_len(e2),
-        pi,
-        own,
-        pruning,
-        ps,
-    );
-    let mut cursor = 0usize;
+    probe: &mut Probe,
+) -> Option<u32> {
+    let (points, metric, pruning) = (scan.points, scan.metric, scan.pruning);
+    let row = scan.adj.neighbors.row(scan.net.assignment[pi] as usize);
+    let mut anchors = scan
+        .anchor_row(probe, pi, |e2| fragments.row_len(e2))
+        .iter()
+        .copied();
+    let mut rejects = 0u64;
     let mut best: Option<(f64, usize)> = None;
     for &e2 in row {
         let e2 = e2 as usize;
         let frag = fragments.row(e2);
-        let anchor = if pruning.enabled && frag.len() >= pruning.min_anchor_group {
-            let a = scratch.anchors[cursor];
-            cursor += 1;
-            Some(a)
-        } else {
-            None
-        };
+        let anchor = (pruning.enabled && frag.len() >= pruning.min_anchor_group)
+            .then(|| anchors.next())
+            .flatten();
         if frag.is_empty() {
             continue;
         }
@@ -1070,7 +781,7 @@ fn assign_border<P, M: BatchMetric<P>>(
             // No fragment member can beat the current best: the anchor
             // minus the fragment's radius already exceeds it.
             if a - frag_radius[e2] > bound {
-                ps.bound_rejects += frag.len() as u64;
+                rejects += frag.len() as u64;
                 continue;
             }
         }
@@ -1081,12 +792,12 @@ fn assign_border<P, M: BatchMetric<P>>(
                 }
             }
         } else {
-            let d2c = net.dist_to_center;
+            let d2c = scan.net.dist_to_center;
             for &q in frag {
                 if let (Some(a), Some(d2c)) = (anchor, d2c) {
                     let dq = d2c[q as usize];
                     if (a - dq).abs() > bound {
-                        ps.bound_rejects += 1;
+                        rejects += 1;
                         continue;
                     }
                 }
@@ -1098,68 +809,8 @@ fn assign_border<P, M: BatchMetric<P>>(
             }
         }
     }
-    match best {
-        Some((_, e2)) => PointLabel::Border(cluster_of_center[e2]),
-        None => PointLabel::Noise,
-    }
-}
-
-/// Step 3 from the grid: nearest core point among the ring-cell
-/// candidates, minimizing `(distance, center position)`
-/// lexicographically — exactly the optimum the generic scan's
-/// ascending adjacency rows plus strict `<` converge to, so the label
-/// matches [`assign_border`] bit-for-bit (the label depends only on
-/// the winning center's cluster, and every distance comes from the
-/// same metric arithmetic). Cells whose lower bound exceeds the
-/// current best cannot beat *or tie* it (`lb ≤ d` holds in f64 for
-/// every member), so skipping them never changes the winner.
-#[allow(clippy::too_many_arguments)] // mirrors assign_border
-fn assign_border_grid<P, M: BatchMetric<P>>(
-    points: &[P],
-    metric: &M,
-    net: &NetView<'_>,
-    grid: &GridIndex,
-    is_core: &[bool],
-    cluster_of_center: &[u32],
-    pi: usize,
-    eps: f64,
-    cs: &mut CandidateStats,
-) -> PointLabel {
-    let mut best: Option<(f64, usize)> = None;
-    let mut walk = CandidateStats::default();
-    let (mut emitted, mut rejected) = (0u64, 0u64);
-    grid.for_each_candidate_cell(
-        grid.point_coords(pi),
-        eps,
-        &mut walk,
-        |members, cell_lb, _| {
-            if best.is_some_and(|(d, _)| cell_lb > d) {
-                rejected += members.len() as u64;
-                return;
-            }
-            for &q in members {
-                let q = q as usize;
-                if !is_core[q] {
-                    continue;
-                }
-                emitted += 1;
-                let bound = best.map_or(eps, |(d, _)| d);
-                if let Some(d) = metric.distance_leq(&points[pi], &points[q], bound) {
-                    let e2 = net.assignment[q] as usize;
-                    if best.is_none_or(|(bd, be)| d < bd || (d == bd && e2 < be)) {
-                        best = Some((d, e2));
-                    }
-                }
-            }
-        },
-    );
-    cs.merge(&walk);
-    cs.candidates_emitted += emitted;
-    cs.candidates_rejected += rejected;
-    match best {
-        Some((_, e2)) => PointLabel::Border(cluster_of_center[e2]),
-        None => PointLabel::Noise,
-    }
+    probe.ledger.pruning.bound_rejects += rejects;
+    best.map(|(_, e2)| e2 as u32)
 }
 
 /// Is `BCP(C̃_e, C̃_{e'}) ≤ eps`? Queries come from the smaller fragment

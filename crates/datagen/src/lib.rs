@@ -3,8 +3,8 @@
 //! The paper's evaluation (Table 1) uses 19 datasets in four classes:
 //! low/medium-dimensional Euclidean tables, high-dimensional image
 //! embeddings, text corpora under edit distance, and million-scale
-//! streams. None of those files ship here, so — per the reproduction's
-//! substitution rule (DESIGN.md §3) — each *class* is regenerated by a
+//! streams. None of those files ship here, so — the reproduction's
+//! substitution rule — each *class* is regenerated by a
 //! deterministic synthetic generator that realizes the property the
 //! paper's algorithms exploit: **inliers with low doubling dimension, plus
 //! unconstrained outliers**:

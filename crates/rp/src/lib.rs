@@ -57,6 +57,13 @@ use rand::distr::StandardNormal;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Largest [`RpConfig::projections`] an engine artifact may carry. The
+/// index stores `projections × dim` direction coordinates plus one
+/// projection value per point and direction, so an unchecked count read
+/// from disk (up to `u32::MAX`) would abort the process on allocation
+/// at the first query; artifact decoding rejects anything above this.
+pub const MAX_PROJECTIONS: u32 = 1 << 16;
+
 /// Configuration of a random-projection index; part of the engine
 /// configuration, so every artifact built from it is reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -22,13 +22,16 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use metric_dbscan::core::{
-    ApproxParams, DbscanError, DbscanParams, MetricDbscan, NetStrategy, PointLabel,
+    ApproxParams, CacheStats, CandidateIndex, DbscanError, DbscanParams, MetricDbscan, NetStrategy,
+    PointLabel, RpConfig,
 };
 use metric_dbscan::datagen::{blobs, string_clusters, BlobSpec, StringSpec};
 use metric_dbscan::metric::{
     BatchMetric, CountingMetric, Euclidean, Levenshtein, Manhattan, MetricTag, PersistPoint,
     PruningConfig, VectorBlock,
 };
+use metric_dbscan::persist::{ArtifactKind, ArtifactReader, ArtifactWriter};
+use metric_dbscan::rp::MAX_PROJECTIONS;
 
 fn vector_points() -> Vec<Vec<f64>> {
     blobs(
@@ -625,4 +628,178 @@ fn latest_self_contained_checkpoint_survives_corruption() {
     assert_eq!(seq, s0, "must fall back past the corrupt newest file");
     assert!(loaded.metric().inner().is_zero_copy());
     assert_eq!(loaded.exact(&params).unwrap().clustering, want.clustering);
+}
+
+/// A `VectorBlock` engine over `n` blob rows of dimension `dim`, on the
+/// given candidate index.
+fn indexed_block_engine(
+    n: usize,
+    dim: usize,
+    index: CandidateIndex,
+) -> MetricDbscan<u32, VectorBlock<f64>> {
+    let rows: Vec<Vec<f64>> = blobs(
+        &BlobSpec {
+            n,
+            dim,
+            clusters: 3,
+            std: 0.6,
+            center_box: 15.0,
+            outlier_frac: 0.05,
+        },
+        31,
+    )
+    .into_parts()
+    .0;
+    let block = VectorBlock::<f64>::from_rows(&rows);
+    MetricDbscan::builder(block.ids(), block)
+        .rbar(0.25)
+        .net_strategy(NetStrategy::RadiusGuided)
+        .candidate_index(index)
+        .build()
+        .unwrap()
+}
+
+/// The candidate-index cache counters travel through an artifact for
+/// every index kind: after `exact` + `approx` twice, a save/load keeps
+/// the lifetime hit/miss/upgrade counters (the index entries themselves
+/// are rebuilt, not persisted, so `*_entries` are not compared), and
+/// saving the loaded engine reproduces the first artifact byte for
+/// byte.
+#[test]
+fn index_cache_counters_round_trip_byte_identically() {
+    let params = DbscanParams::new(1.0, 4).unwrap();
+    let aparams = ApproxParams::new(1.0, 4, 0.5).unwrap();
+    let kinds = [
+        ("generic", 2, CandidateIndex::Generic),
+        ("grid", 2, CandidateIndex::Grid),
+        (
+            "rp",
+            3,
+            CandidateIndex::RandomProjection(RpConfig::new(5).projections(16).top_m(32)),
+        ),
+    ];
+    for (tag, dim, index) in kinds {
+        let engine = indexed_block_engine(240, dim, index);
+        for _ in 0..2 {
+            engine.exact(&params).unwrap();
+            engine.approx(&aparams).unwrap();
+        }
+        let before = engine.cache_stats();
+        match index {
+            CandidateIndex::Grid => assert!(before.grid_misses > 0 && before.grid_hits > 0),
+            CandidateIndex::RandomProjection(_) => {
+                assert!(before.rp_misses > 0 && before.rp_hits > 0)
+            }
+            CandidateIndex::Generic => {
+                assert_eq!((before.grid_misses, before.rp_misses), (0, 0))
+            }
+        }
+
+        let first = temp_path(&format!("index_cache_{tag}_a"));
+        engine.save(&first).unwrap();
+        let loaded: MetricDbscan<u32, VectorBlock<f64>> =
+            MetricDbscan::load(&first, engine.metric().clone()).unwrap();
+        let second = temp_path(&format!("index_cache_{tag}_b"));
+        loaded.save(&second).unwrap();
+        let (a, b) = (
+            std::fs::read(&first).unwrap(),
+            std::fs::read(&second).unwrap(),
+        );
+        std::fs::remove_file(&first).unwrap();
+        std::fs::remove_file(&second).unwrap();
+
+        let after = loaded.cache_stats();
+        let counters = |s: &CacheStats| {
+            (
+                s.hits,
+                s.misses,
+                s.upgrades,
+                s.adjacency_hits,
+                s.adjacency_misses,
+                (s.grid_hits, s.grid_misses),
+                (s.rp_hits, s.rp_misses),
+            )
+        };
+        assert_eq!(counters(&after), counters(&before), "{tag}: counters");
+        assert_eq!(
+            a, b,
+            "{tag}: re-saving a loaded engine must be byte-identical"
+        );
+    }
+}
+
+/// An artifact whose random-projection config asks for more projections
+/// than `MAX_PROJECTIONS` fails to load with a typed
+/// format error, even with every checksum valid — it must never reach
+/// the index build, which would try to allocate `projections × dim`
+/// directions.
+#[test]
+fn oversized_rp_projections_fail_load_typed() {
+    let engine = indexed_block_engine(
+        120,
+        3,
+        CandidateIndex::RandomProjection(RpConfig::new(1).projections(8)),
+    );
+    let path = temp_path("rp_oversized");
+    engine.save(&path).unwrap();
+    let valid = std::fs::read(&path).unwrap();
+
+    // Re-frame every section through the artifact writer, so each
+    // section checksum is recomputed over the (possibly patched)
+    // payload. Grid-index payload: tag u8, seed u64, projections u32.
+    let reframe = |projections: Option<u32>| -> Vec<u8> {
+        let art = ArtifactReader::from_bytes(&valid).unwrap();
+        let mut w = ArtifactWriter::new(ArtifactKind::Engine, art.point_tag(), art.metric_tag());
+        for name in [
+            "engine",
+            "grid-index",
+            "rp-index",
+            "points",
+            "net",
+            "writer",
+            "deltas",
+            "adjacency-cache",
+            "fragment-cache",
+            "covertree-cache",
+        ] {
+            let mut r = art.require_section(name).unwrap();
+            let mut payload = r.take_bytes(r.remaining()).unwrap().to_vec();
+            if let (Some(k), "grid-index") = (projections, name) {
+                assert_eq!(payload[0], 2, "random-projection tag");
+                payload[9..13].copy_from_slice(&k.to_le_bytes());
+            }
+            let s = if name == "points" {
+                w.aligned_section(name)
+            } else {
+                w.section(name)
+            };
+            s.put_bytes(&payload);
+        }
+        w.to_bytes()
+    };
+    let load = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        MetricDbscan::<u32, VectorBlock<f64>>::load(&path, engine.metric().clone())
+    };
+
+    // Control: the re-framed, unpatched artifact loads and answers.
+    let aparams = ApproxParams::new(1.0, 4, 0.5).unwrap();
+    let control = load(&reframe(None)).expect("re-framed artifact must load");
+    assert_eq!(
+        control.approx(&aparams).unwrap().clustering,
+        engine.approx(&aparams).unwrap().clustering
+    );
+    let at_cap = load(&reframe(Some(MAX_PROJECTIONS)));
+    assert!(at_cap.is_ok(), "the cap itself is accepted");
+
+    for k in [MAX_PROJECTIONS + 1, u32::MAX] {
+        match load(&reframe(Some(k))).map(|_| ()) {
+            Err(DbscanError::Format { section, reason }) => {
+                assert_eq!(section, "grid-index");
+                assert!(reason.contains("projections"), "got: {reason}");
+            }
+            other => panic!("projections = {k}: expected Format, got {other:?}"),
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
 }
