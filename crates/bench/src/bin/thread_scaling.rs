@@ -12,6 +12,10 @@
 //! counters are self-consistent. CI runs this at a tiny `--scale` as a
 //! smoke test of the whole distance-minimization layer.
 //!
+//! It also times the Algorithm-1 net build alone at 1 and 2 threads
+//! (the median of interleaved runs) and, at full scale, asserts that
+//! the second thread never makes it more than 10 % slower.
+//!
 //! `--scale 0.1` shrinks the dataset for smoke runs; `--full` runs the
 //! million-point panel regardless of `--scale`.
 
@@ -21,11 +25,14 @@ use mdbscan_core::{
     Run as EngineRun,
 };
 use mdbscan_datagen::{blobs, BlobSpec};
+use mdbscan_kcenter::{BuildOptions, RadiusGuidedNet};
 use mdbscan_metric::{CountingMetric, Euclidean, PruneStats, PruningConfig};
 
 const EPS: f64 = 1.0;
 const MIN_PTS: usize = 10;
 const RHO: f64 = 0.5;
+/// Interleaved net builds per thread count behind the never-slower gate.
+const NET_BUILD_RUNS: usize = 7;
 
 struct Run {
     threads: usize,
@@ -113,6 +120,8 @@ fn main() {
         });
     }
 
+    let [net_t1, net_t2] = net_build_medians(&pts);
+
     let t1_total = runs[0].build_ms + runs[0].exact_ms;
     println!("{{");
     println!("  \"bench\": \"thread_scaling\",");
@@ -133,14 +142,46 @@ fn main() {
             r.distance_evals, r.labels_match,
         );
     }
-    println!("  ]");
+    println!("  ],");
+    println!(
+        "  \"net_build_ms\": {{\"t1\": {net_t1:.2}, \"t2\": {net_t2:.2}, \"runs\": {NET_BUILD_RUNS}}}"
+    );
     println!("}}");
     assert!(
         runs.iter().all(|r| r.labels_match),
         "cluster labels diverged across thread counts"
     );
+    if args.full || args.scale >= 1.0 {
+        assert!(
+            net_t2 <= 1.1 * net_t1,
+            "net build got slower with a second thread: {net_t2:.2} ms vs {net_t1:.2} ms"
+        );
+    }
 
     write_distance_evals_baseline(&pts, n);
+}
+
+/// Median wall (ms) of the Algorithm-1 net build at 1 and 2 threads,
+/// over `NET_BUILD_RUNS` runs each. The thread counts alternate, and so
+/// does which of them goes first, so that drift in the host's speed and
+/// any first-or-second bias hit both alike.
+fn net_build_medians(pts: &[Vec<f64>]) -> [f64; 2] {
+    let mut walls = [Vec::new(), Vec::new()];
+    for run in 0..NET_BUILD_RUNS {
+        for i in [run % 2, 1 - run % 2] {
+            let opts = BuildOptions {
+                parallel: ParallelConfig::new(i + 1),
+                ..BuildOptions::default()
+            };
+            let (_, ms) =
+                timed(|| RadiusGuidedNet::build_with(pts, &Euclidean, RHO * EPS / 2.0, &opts));
+            walls[i].push(ms);
+        }
+    }
+    walls.map(|mut w| {
+        w.sort_by(f64::total_cmp);
+        w[w.len() / 2]
+    })
 }
 
 /// One row of the pruning baseline.

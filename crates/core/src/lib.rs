@@ -77,7 +77,7 @@
 //!
 //! | phase | parallel over |
 //! |---|---|
-//! | Algorithm 1 sweep + farthest-point reduction | points |
+//! | Algorithm 1 first round (distances to `p₀`) | points |
 //! | center adjacency (`A` sets) | upper-triangle center rows |
 //! | Step 1 core labeling / Algorithm 2 core tests | points / centers |
 //! | Step 2 fragment cover trees | fragments (weighted) |
@@ -87,7 +87,8 @@
 //!
 //! Cover-tree construction for the §3.2 variant and streaming passes
 //! 1–2 are inherently sequential (each insert/arrival depends on the
-//! state so far).
+//! state so far). Algorithm 1's later rounds run inline: its cover-set
+//! sweep leaves each a few thousand distances, too few to hand off.
 //!
 //! **Determinism is unconditional**: chunks are contiguous in index
 //! order, reductions combine per-chunk results in chunk order with ties

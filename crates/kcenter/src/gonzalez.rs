@@ -1,8 +1,8 @@
 //! Vanilla Gonzalez greedy `k`-center.
 
-use crate::radius_guided::{sweep_chunk, SWEEP_MIN_PER_THREAD};
+use crate::sweep::farthest_first;
 use mdbscan_metric::Metric;
-use mdbscan_parallel::{sweep_rounds, ParallelConfig, SweepTask};
+use mdbscan_parallel::ParallelConfig;
 
 /// Output of [`gonzalez`].
 #[derive(Debug, Clone)]
@@ -22,8 +22,13 @@ pub struct KCenterResult {
 /// (2-approximation; Gonzalez 1985). Deterministic given `first`, the index
 /// of the seed center.
 ///
-/// Runs `k` iterations of `O(n)` distance evaluations each. Panics if
-/// `points` is empty, `k == 0`, or `first` is out of range.
+/// Shares Algorithm 1's cover-set sweep
+/// ([`RadiusGuidedNet::build_with`](crate::RadiusGuidedNet::build_with)):
+/// `n − 1` distances for the seed, then per new center one distance to
+/// each earlier center with a positive cover radius (`O(k²)` in all)
+/// plus one per member it could capture — at most `O(n)` per
+/// iteration, far fewer on clustered data. Panics if `points` is empty,
+/// `k == 0`, or `first` is out of range.
 pub fn gonzalez<P: Sync, M: Metric<P> + Sync>(
     points: &[P],
     metric: &M,
@@ -33,10 +38,10 @@ pub fn gonzalez<P: Sync, M: Metric<P> + Sync>(
     gonzalez_with(points, metric, k, first, &ParallelConfig::default())
 }
 
-/// As [`gonzalez`], with an explicit thread-count knob for the
-/// per-iteration sweep and farthest-point reduction. Both are
-/// deterministic for any thread count (ties break on point index), so
-/// every setting returns the same centers and assignment.
+/// As [`gonzalez`], with an explicit thread-count knob for the sweep's
+/// first round. The sweep is deterministic for any thread count (ties
+/// break on point index), so every setting returns the same centers and
+/// assignment.
 pub fn gonzalez_with<P: Sync, M: Metric<P> + Sync>(
     points: &[P],
     metric: &M,
@@ -47,43 +52,16 @@ pub fn gonzalez_with<P: Sync, M: Metric<P> + Sync>(
     assert!(!points.is_empty(), "k-center of an empty set");
     assert!(k >= 1, "k must be at least 1");
     assert!(first < points.len(), "seed index out of range");
-    let n = points.len();
-    let threads = parallel.threads();
-    let mut centers = vec![first];
-    // Same persistent-worker rounds as Algorithm 1; only the stopping
-    // rule differs (fixed k, or duplicate saturation).
-    let (dist, assignment) = sweep_rounds(
-        n,
-        threads,
-        SWEEP_MIN_PER_THREAD,
-        SweepTask {
-            center: first,
-            center_pos: 0,
-            init: true,
-        },
-        |task, offset, dist_chunk, assign_chunk| {
-            sweep_chunk(points, metric, task, offset, dist_chunk, assign_chunk)
-        },
-        |far, far_d| {
-            if centers.len() >= k.min(n) || far_d == 0.0 {
-                // far_d == 0: every remaining point duplicates a center
-                return None;
-            }
-            let c = centers.len() as u32;
-            centers.push(far);
-            Some(SweepTask {
-                center: far,
-                center_pos: c,
-                init: false,
-            })
-        },
-    );
-    let radius = dist.iter().copied().fold(0.0, f64::max);
+    let k = k.min(points.len());
+    let sweep = farthest_first(points, metric, first, parallel.threads(), |len, far_d| {
+        // far_d == 0: every remaining point duplicates a center
+        !(len >= k || far_d == 0.0)
+    });
     KCenterResult {
-        centers,
-        assignment,
-        dist_to_center: dist,
-        radius,
+        centers: sweep.centers,
+        assignment: sweep.assignment,
+        dist_to_center: sweep.dist,
+        radius: sweep.far_d,
     }
 }
 

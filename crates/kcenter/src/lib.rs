@@ -11,8 +11,15 @@
 //!   `E` of the data together with the *cover sets* `C_e` (the Voronoi
 //!   cells of the net) and per-point closest-center assignments `c_p`. On
 //!   inliers of doubling dimension `D` plus `z` arbitrary outliers, the
-//!   greedy stops after `O((Δ/r̄)^D) + z` iterations (Lemma 1); each
-//!   iteration is a linear scan, parallelizable across points.
+//!   greedy stops after `O((Δ/r̄)^D) + z` iterations (Lemma 1). Each
+//!   iteration measures the new center against the earlier centers and
+//!   then only the members of the cover sets it can reach: a set whose
+//!   center is more than twice its radius away, or a member more than
+//!   twice its own center distance away, is skipped by the triangle
+//!   inequality (with a `1e-9` relative slack against rounding). The
+//!   build costs `n − 1 + O(|E|²)` distances plus the members actually
+//!   touched, instead of the textbook `|E|·n`, and returns the same net.
+//!   Both greedies share this sweep.
 //! * [`IncrementalNet`] — the **online** counterpart of Algorithm 1:
 //!   first-fit netting (the streaming pass-1 rule), maintaining a valid
 //!   `r̄`-net under point-at-a-time insertion with batch-split-invariant
@@ -33,6 +40,7 @@ mod online;
 mod outliers;
 mod persist;
 mod radius_guided;
+mod sweep;
 
 pub use adjacency::CenterAdjacency;
 pub use gonzalez::{gonzalez, gonzalez_with, KCenterResult};

@@ -1,12 +1,9 @@
 //! Algorithm 1: radius-guided Gonzalez.
 
 use crate::adjacency::CenterAdjacency;
+use crate::sweep::farthest_first;
 use mdbscan_metric::Metric;
-use mdbscan_parallel::{sweep_rounds, Csr, ParallelConfig, SweepTask};
-
-/// Points per worker below which the sweep stays sequential — the
-/// distance evaluations must outweigh the thread-spawn cost.
-pub(crate) const SWEEP_MIN_PER_THREAD: usize = 4096;
+use mdbscan_parallel::{Csr, ParallelConfig};
 
 /// Knobs for [`RadiusGuidedNet::build_with`]. Plain-old-data (`Copy`),
 /// so an owning engine can stash and replay it freely.
@@ -14,13 +11,13 @@ pub(crate) const SWEEP_MIN_PER_THREAD: usize = 4096;
 pub struct BuildOptions {
     /// Index of the arbitrary first center `p₀` (paper line 1). Default 0.
     pub first: usize,
-    /// Worker threads for the per-iteration distance sweep and the
-    /// farthest-point reduction. The sweep is embarrassingly parallel
-    /// and the reduction breaks ties on point index, so the result is
-    /// **identical for every thread count** — the default is the
-    /// machine's available parallelism. (Earlier revisions defaulted to
-    /// one thread "for determinism"; determinism now holds by
-    /// construction.)
+    /// Worker threads for the sweep's first round, the `n − 1`
+    /// distances to `p₀`; every later round is a few thousand
+    /// evaluations after the cover-set skipping and runs inline. The
+    /// split results are element-local and the farthest-point choice
+    /// breaks ties on point index, so the result is **identical for
+    /// every thread count** — the default is the machine's available
+    /// parallelism.
     pub parallel: ParallelConfig,
     /// Hard cap on `|E|`; `usize::MAX` by default. A safety valve for
     /// adversarial inputs where `r̄` was chosen far below the data's
@@ -77,7 +74,7 @@ pub struct RadiusGuidedNet {
 
 impl RadiusGuidedNet {
     /// Runs Algorithm 1 with default options (first center = point 0,
-    /// sweep parallelized over available cores).
+    /// first sweep round split over available cores).
     ///
     /// Panics if `points` is empty or `rbar` is not positive and finite.
     pub fn build<P: Sync, M: Metric<P> + Sync>(points: &[P], metric: &M, rbar: f64) -> Self {
@@ -85,6 +82,18 @@ impl RadiusGuidedNet {
     }
 
     /// Runs Algorithm 1 with explicit options.
+    ///
+    /// Cost: `n − 1` distances for the first center, then per new center
+    /// `c` one distance `dis(c, e)` to each earlier center `e` whose
+    /// cover set has a positive radius `r_e` — `O(|E|²)` in all — plus
+    /// one early-abandoned distance per member that `c` could capture.
+    /// A set with `dis(c, e) > 2·r_e`, and a member `p` with
+    /// `dis(c, e) > 2·dis(p, e)`, is out of reach by the triangle
+    /// inequality and skipped without evaluation (both tests carry a
+    /// relative slack of `1e-9` against rounding; see the
+    /// floating-point caveat in `mdbscan_metric::prune`). The net is
+    /// bit-identical to re-sweeping all `n` points per center, which
+    /// costs `|E|·n` distances.
     pub fn build_with<P: Sync, M: Metric<P> + Sync>(
         points: &[P],
         metric: &M,
@@ -97,40 +106,23 @@ impl RadiusGuidedNet {
             "radius bound must be positive and finite, got {rbar}"
         );
         assert!(opts.first < points.len(), "first-center index out of range");
-        let n = points.len();
-        let threads = opts.parallel.threads();
-        let mut centers: Vec<usize> = vec![opts.first];
-        let mut covered = true;
-        // Persistent workers sweep rounds until the coverage test (or the
-        // center cap) stops the greedy — one thread spawn per worker for
-        // the whole build, not per iteration.
-        let (dist, assignment) = sweep_rounds(
-            n,
-            threads,
-            SWEEP_MIN_PER_THREAD,
-            SweepTask {
-                center: opts.first,
-                center_pos: 0,
-                init: true,
-            },
-            |task, offset, dist_chunk, assign_chunk| {
-                sweep_chunk(points, metric, task, offset, dist_chunk, assign_chunk)
-            },
-            |far, far_d| {
-                if far_d <= rbar || centers.len() >= opts.max_centers.max(1) {
-                    covered = far_d <= rbar;
-                    return None;
-                }
-                let c = centers.len() as u32;
-                centers.push(far);
-                Some(SweepTask {
-                    center: far,
-                    center_pos: c,
-                    init: false,
-                })
-            },
+        let max_centers = opts.max_centers.max(1);
+        let sweep = farthest_first(
+            points,
+            metric,
+            opts.first,
+            opts.parallel.threads(),
+            |k, far_d| !(far_d <= rbar || k >= max_centers),
         );
-        finish(centers, assignment, dist, rbar, covered)
+        let cover_sets = Csr::from_assignment(&sweep.assignment, sweep.centers.len());
+        RadiusGuidedNet {
+            rbar,
+            centers: sweep.centers,
+            assignment: sweep.assignment,
+            dist_to_center: sweep.dist,
+            cover_sets,
+            covered: sweep.far_d <= rbar,
+        }
     }
 
     /// Number of points the net was built over.
@@ -160,62 +152,6 @@ impl RadiusGuidedNet {
         threshold: f64,
     ) -> CenterAdjacency {
         CenterAdjacency::build(points, metric, &self.centers, threshold)
-    }
-}
-
-/// One chunk of the sweep against the newly added center (paper line 6).
-/// `task.init` seeds the arrays instead of taking minima; the center's
-/// own slot is pinned to distance 0 in place of the post-sweep fixup the
-/// sequential formulation uses. Element-local, so the chunking is
-/// invisible in the result.
-pub(crate) fn sweep_chunk<P, M: Metric<P>>(
-    points: &[P],
-    metric: &M,
-    task: &SweepTask,
-    offset: usize,
-    dist_chunk: &mut [f64],
-    assign_chunk: &mut [u32],
-) {
-    let cpoint = &points[task.center];
-    let points_chunk = &points[offset..offset + dist_chunk.len()];
-    for (i, ((p, d), a)) in points_chunk
-        .iter()
-        .zip(dist_chunk.iter_mut())
-        .zip(assign_chunk.iter_mut())
-        .enumerate()
-    {
-        if offset + i == task.center {
-            *d = 0.0;
-            *a = task.center_pos;
-        } else if task.init {
-            *d = metric.distance(cpoint, p);
-            *a = task.center_pos;
-        } else if let Some(nd) = metric.distance_leq(cpoint, p, *d) {
-            // `<` keeps ties on the earlier center, matching the
-            // paper's "arbitrarily pick one" determinism contract.
-            if nd < *d {
-                *d = nd;
-                *a = task.center_pos;
-            }
-        }
-    }
-}
-
-fn finish(
-    centers: Vec<usize>,
-    assignment: Vec<u32>,
-    dist: Vec<f64>,
-    rbar: f64,
-    covered: bool,
-) -> RadiusGuidedNet {
-    let cover_sets = Csr::from_assignment(&assignment, centers.len());
-    RadiusGuidedNet {
-        rbar,
-        centers,
-        assignment,
-        dist_to_center: dist,
-        cover_sets,
-        covered,
     }
 }
 

@@ -34,6 +34,22 @@
 //! solvers × thread counts × metric families), but workloads engineered
 //! to place pair distances exactly on thresholds should disable pruning
 //! for certainty.
+//!
+//! The Algorithm-1 net sweep in `mdbscan_kcenter` has no switch, so it
+//! guards its skip rule with a slack instead. A new center `c` skips the
+//! member `p` of cover set `C_e` only when
+//! `dis(c, e) > 2·dis(p, e)·(1 + 1e-9)`, and the whole set only when
+//! `dis(c, e) > 2·r_e·(1 + 1e-9)`. The rule needs the computed distances
+//! to satisfy the triangle inequality up to a relative error of about
+//! `1e-9 / 2`. A `k`-term floating-point sum carries at most about
+//! `k·2⁻⁵³` (`k/2` ulps) of relative error, so every Euclidean-family
+//! metric and block kernel here is covered, at any dimension in use,
+//! with orders of magnitude to spare. Integer-valued metrics are exact.
+//! A metric whose rounding is *absolute* rather than relative, such as
+//! the `acos` in `Angular` between near-duplicates, could in principle
+//! skip a capture the full re-sweep would make: `p` then keeps a center
+//! that is farther by rounding error. The net still covers and packs
+//! up to that rounding.
 
 /// Policy knob for the net-anchored triangle-inequality pruning layer.
 ///

@@ -8,14 +8,13 @@
 //! This crate provides the two ingredients those phases share:
 //!
 //! * [`ParallelConfig`] plus a small family of scoped-thread executors
-//!   ([`par_map_range`], [`par_map_ranges`]) and the persistent-worker
-//!   sweep engine ([`sweep_rounds`]), all **deterministic by
-//!   construction**: work is
-//!   split into contiguous index chunks, per-chunk results are combined
-//!   in chunk order, and ties always break toward the smaller index —
-//!   so the output never depends on the thread count or on scheduling.
-//!   With one thread (or small inputs) they degrade to the plain
-//!   sequential loop with zero overhead.
+//!   ([`par_map_range`], [`par_map_ranges`]), **deterministic by
+//!   construction**: work is split into contiguous index chunks,
+//!   per-chunk results are combined in chunk order, and ties always
+//!   break toward the smaller index — so the output never depends on
+//!   the thread count or on scheduling. With one thread (or small
+//!   inputs) they degrade to the plain sequential loop with zero
+//!   overhead.
 //! * [`Csr`] — compressed sparse rows (offsets + one flat value array)
 //!   replacing `Vec<Vec<u32>>` for cover sets, center adjacency, and
 //!   core fragments. The innermost distance loops walk contiguous
@@ -28,7 +27,10 @@
 //! The executors use `std::thread::scope`, not a pool: the workspace
 //! spawns threads only around substantial work (guarded by
 //! `min_per_thread`), where the ~10µs spawn cost is noise next to the
-//! distance evaluations inside.
+//! distance evaluations inside. The Algorithm-1 greedy, for one, hands
+//! only its first round (`n − 1` distances) to threads: its cover-set
+//! sweep (see `mdbscan_kcenter`) leaves every later round a few thousand
+//! evaluations, which run faster inline.
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
@@ -37,10 +39,8 @@ mod config;
 mod csr;
 mod executors;
 mod persist;
-mod sweeps;
 
 pub use chunked::ChunkedCsr;
 pub use config::ParallelConfig;
 pub use csr::Csr;
 pub use executors::{par_map_range, par_map_ranges, split_even, split_weighted, worker_count};
-pub use sweeps::{sweep_rounds, SweepTask};
