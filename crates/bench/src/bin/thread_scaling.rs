@@ -12,9 +12,10 @@
 //! counters are self-consistent. CI runs this at a tiny `--scale` as a
 //! smoke test of the whole distance-minimization layer.
 //!
-//! It also times the Algorithm-1 net build alone at 1 and 2 threads
-//! (the median of interleaved runs) and, at full scale, asserts that
-//! the second thread never makes it more than 10 % slower.
+//! It also times the Algorithm-1 net build and each solver's query
+//! (exact, approx, covertree, streaming) alone at 1 and 2 threads (the
+//! median of interleaved runs) and, at full scale, asserts that the
+//! second thread never makes any of them more than 10 % slower.
 //!
 //! `--scale 0.1` shrinks the dataset for smoke runs; `--full` runs the
 //! million-point panel regardless of `--scale`.
@@ -31,8 +32,8 @@ use mdbscan_metric::{CountingMetric, Euclidean, PruneStats, PruningConfig};
 const EPS: f64 = 1.0;
 const MIN_PTS: usize = 10;
 const RHO: f64 = 0.5;
-/// Interleaved net builds per thread count behind the never-slower gate.
-const NET_BUILD_RUNS: usize = 7;
+/// Interleaved runs per thread count behind each never-slower gate.
+const GATE_RUNS: usize = 7;
 
 struct Run {
     threads: usize,
@@ -120,7 +121,7 @@ fn main() {
         });
     }
 
-    let [net_t1, net_t2] = net_build_medians(&pts);
+    let gates = never_slower_medians(&pts);
 
     let t1_total = runs[0].build_ms + runs[0].exact_ms;
     println!("{{");
@@ -143,38 +144,80 @@ fn main() {
         );
     }
     println!("  ],");
-    println!(
-        "  \"net_build_ms\": {{\"t1\": {net_t1:.2}, \"t2\": {net_t2:.2}, \"runs\": {NET_BUILD_RUNS}}}"
-    );
+    println!("  \"never_slower_ms\": {{");
+    for (i, (what, [t1, t2])) in gates.iter().enumerate() {
+        let sep = if i + 1 == gates.len() { "" } else { "," };
+        println!(
+            "    \"{what}\": {{\"t1\": {t1:.2}, \"t2\": {t2:.2}, \"runs\": {GATE_RUNS}}}{sep}"
+        );
+    }
+    println!("  }}");
     println!("}}");
     assert!(
         runs.iter().all(|r| r.labels_match),
         "cluster labels diverged across thread counts"
     );
     if args.full || args.scale >= 1.0 {
-        assert!(
-            net_t2 <= 1.1 * net_t1,
-            "net build got slower with a second thread: {net_t2:.2} ms vs {net_t1:.2} ms"
-        );
+        for (what, [t1, t2]) in &gates {
+            assert!(
+                *t2 <= 1.1 * t1,
+                "{what} got slower with a second thread: {t2:.2} ms vs {t1:.2} ms"
+            );
+        }
     }
 
     write_distance_evals_baseline(&pts, n);
 }
 
-/// Median wall (ms) of the Algorithm-1 net build at 1 and 2 threads,
-/// over `NET_BUILD_RUNS` runs each. The thread counts alternate, and so
-/// does which of them goes first, so that drift in the host's speed and
-/// any first-or-second bias hit both alike.
-fn net_build_medians(pts: &[Vec<f64>]) -> [f64; 2] {
-    let mut walls = [Vec::new(), Vec::new()];
-    for run in 0..NET_BUILD_RUNS {
-        for i in [run % 2, 1 - run % 2] {
+/// Median walls (ms) at 1 and 2 threads of the Algorithm-1 net build and
+/// of each solver's query. Queries run on an engine built once per
+/// thread count without a cache, so every run does all of its work.
+fn never_slower_medians(pts: &[Vec<f64>]) -> Vec<(&'static str, [f64; 2])> {
+    let mut gates = vec![(
+        "net_build",
+        interleaved_medians(|threads| {
             let opts = BuildOptions {
-                parallel: ParallelConfig::new(i + 1),
+                parallel: ParallelConfig::new(threads),
                 ..BuildOptions::default()
             };
-            let (_, ms) =
-                timed(|| RadiusGuidedNet::build_with(pts, &Euclidean, RHO * EPS / 2.0, &opts));
+            RadiusGuidedNet::build_with(pts, &Euclidean, RHO * EPS / 2.0, &opts);
+        }),
+    )];
+    let engines = [1usize, 2].map(|threads| {
+        MetricDbscan::builder(pts.to_vec(), Euclidean)
+            .rbar(RHO * EPS / 2.0)
+            .parallel(ParallelConfig::new(threads))
+            .cache_capacity(0)
+            .build()
+            .expect("build engine")
+    });
+    let params = DbscanParams::new(EPS, MIN_PTS).expect("params");
+    let aparams = ApproxParams::new(EPS, MIN_PTS, RHO).expect("approx params");
+    for solver in ["exact", "approx", "covertree", "streaming"] {
+        let medians = interleaved_medians(|threads| {
+            let engine = &engines[threads - 1];
+            let run = match solver {
+                "exact" => engine.exact(&params),
+                "approx" => engine.approx(&aparams),
+                "covertree" => engine.covertree(&params),
+                _ => engine.streaming(&aparams),
+            };
+            run.expect("solver query");
+        });
+        gates.push((solver, medians));
+    }
+    gates
+}
+
+/// Median wall (ms) of `run(threads)` at 1 and 2 threads, over
+/// `GATE_RUNS` runs each. The thread counts alternate, and so does which
+/// of them goes first, so that drift in the host's speed and any
+/// first-or-second bias hit both alike.
+fn interleaved_medians(mut run: impl FnMut(usize)) -> [f64; 2] {
+    let mut walls = [Vec::new(), Vec::new()];
+    for round in 0..GATE_RUNS {
+        for i in [round % 2, 1 - round % 2] {
+            let (_, ms) = timed(|| run(i + 1));
             walls[i].push(ms);
         }
     }

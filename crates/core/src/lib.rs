@@ -81,23 +81,28 @@
 //! | center adjacency (`A` sets) | upper-triangle center rows |
 //! | Step 1 core labeling / Algorithm 2 core tests | points / centers |
 //! | Step 2 fragment cover trees | fragments (weighted) |
-//! | Step 2 BCP tests / summary merges | candidate pairs, batched per union-find round |
+//! | Step 2 BCP tests | candidate pairs, in windows committed in order |
 //! | Step 3 border assignment / Algorithm 2 labeling | points |
 //! | streaming pass 3 | stream blocks |
 //!
 //! Cover-tree construction for the §3.2 variant and streaming passes
 //! 1–2 are inherently sequential (each insert/arrival depends on the
 //! state so far). Algorithm 1's later rounds run inline: its cover-set
-//! sweep leaves each a few thousand distances, too few to hand off.
+//! sweep leaves each a few thousand distances, too few to hand off. The
+//! Algorithm-2 and streaming summary merges run in order too: each pair
+//! test is a single distance.
 //!
 //! **Determinism is unconditional**: chunks are contiguous in index
 //! order, reductions combine per-chunk results in chunk order with ties
-//! broken toward the smaller index, batched merging only skips pairs
-//! already connected, and cached artifacts are deterministic functions
-//! of `(net, ε, MinPts)` — so cluster labels are bit-identical across
-//! thread counts, across concurrent engine queries, and across cache
-//! hits vs. cold runs. Only derived counters that measure *work done*
-//! (e.g. [`ExactStats::bcp_tests`]) may differ.
+//! broken toward the smaller index, the Step-2 merge makes exactly the
+//! pair tests of the sequential loop, and cached artifacts are
+//! deterministic functions of `(net, ε, MinPts)` — so cluster labels are
+//! bit-identical across thread counts, across concurrent engine queries,
+//! and across cache hits vs. cold runs. The work counters
+//! ([`ExactStats::bcp_tests`], the merge pair counts, the pruning ledgers
+//! and counted distance evaluations) are the same for every thread
+//! count too; only a cache hit, which skips the work it replays, changes
+//! them.
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 

@@ -1,92 +1,88 @@
-//! Round-batched parallel union-find merging with a component-aware
-//! batch planner.
+//! In-order union-find merging with parallel pair tests.
 //!
-//! The sequential merge loops (exact Step 2, the Algorithm-2 summary
-//! merge, the streaming offline merge) interleave *pure* pair tests
-//! (`BCP ≤ ε`, `dis ≤ (1+ρ)ε`) with union-find updates, skipping pairs
-//! already connected. That interleaving is inherently serial, but the
-//! *final partition* only depends on which pairs pass their test:
-//! skipped pairs are exactly those already connected transitively, so
-//! adding or removing them never changes the connected components.
+//! A merge loop (exact Step 2) walks candidate pairs in a fixed order,
+//! skips a pair whose endpoints are already connected, tests the rest
+//! (`BCP ≤ ε`), and unions the pairs that pass. The skip is what makes
+//! the interleaving serial: whether pair `i` is tested depends on the
+//! verdicts of the pairs before it.
 //!
-//! [`union_rounds`] exploits that: candidate pairs are consumed in
-//! batches; each batch is pre-filtered against the current union-find
-//! state (read-only roots), its tests run in parallel, and its positive
-//! pairs are unioned in order.
+//! [`merge_in_order`] keeps that loop exact and still tests in
+//! parallel. It walks the pairs in windows of [`WINDOW`]. Within a
+//! window it first plans against an **optimistic** view in which every
+//! earlier pair of the window passed:
 //!
-//! # Component-aware planning
+//! * a pair that stays unconnected even then is tested by the
+//!   sequential loop whatever the earlier verdicts are, so it is tested
+//!   up front, in parallel with the window's other such pairs;
+//! * a pair the optimistic view already connects is *undecided*: the
+//!   sequential loop skips it only if the pairs that would connect it
+//!   really pass.
 //!
-//! Pre-filtering against *committed* connectivity alone is not enough:
-//! a round that schedules `(A,B)` and later `(B,C)` would also schedule
-//! `(A,C)`, a pair the sequential loop never tests when the first two
-//! succeed. The planner therefore tracks an **optimistic** view of the
-//! round — every scheduled pair is assumed to succeed — and any pair
-//! whose endpoints are already connected in that view is *deferred*,
-//! not tested. Deferred pairs are re-examined at the next round against
-//! the now-committed state: if the optimism held they are dropped
-//! (exactly like the sequential skip); if a test failed they get
-//! scheduled then (exactly like the sequential fallback). A round never
-//! schedules two pairs that connect the same pair of components, so the
-//! batched run never tests a pair the sequential interleaving skips —
-//! the tested count is bounded by (and, when tests succeed, equal to)
-//! the sequential loop's count, closing the old `bcp_tests` gap where
-//! batching could *over*-test. (It can come in slightly under: a
-//! deferred pair may be resolved by a later positive before its retry.)
+//! The window then commits in candidate order: a tested pair unions if
+//! it passed, and an undecided pair is skipped if it is connected by
+//! now, else tested inline. The tests made are exactly the sequential
+//! loop's, for every thread count and window size, so both the
+//! components and every work counter are thread-independent. Planning
+//! touches each pair once: the whole merge is linear in the pairs.
 
 use crate::unionfind::UnionFind;
 use mdbscan_parallel::par_map_range;
 
-/// The round-local optimistic union-find: scheduled pairs are assumed
-/// connected until their tests land. Entries reset lazily per round via
-/// a generation stamp, so planning stays O(batch α) per round instead
-/// of O(n).
-struct RoundPlanner {
+/// Candidate pairs planned together. Only the share of pairs tested in
+/// parallel depends on it, never which pairs are tested.
+const WINDOW: usize = 256;
+
+/// Pair tests per worker below which a window's tests run inline.
+const MIN_TESTS_PER_THREAD: usize = 8;
+
+/// The window-local optimistic union-find (path halving): every planned
+/// pair is assumed to pass. Entries reset lazily per window through a
+/// generation stamp, so a window's planning costs O(window · α), not
+/// O(n).
+struct Optimistic {
     parent: Vec<u32>,
     stamp: Vec<u32>,
-    round: u32,
+    window: u32,
 }
 
-impl RoundPlanner {
+impl Optimistic {
     fn new(len: usize) -> Self {
         Self {
             parent: vec![0; len],
             stamp: vec![0; len],
-            round: 0,
+            window: 0,
         }
     }
 
-    fn next_round(&mut self) {
-        self.round = self.round.wrapping_add(1);
-        if self.round == 0 {
+    fn next_window(&mut self) {
+        self.window = self.window.wrapping_add(1);
+        if self.window == 0 {
             // Stamp wrap-around (practically unreachable): hard reset.
             self.stamp.fill(0);
-            self.round = 1;
+            self.window = 1;
         }
     }
 
     fn find(&mut self, x: usize) -> usize {
-        if self.stamp[x] != self.round {
-            self.stamp[x] = self.round;
+        if self.stamp[x] != self.window {
+            // Untouched this window: its own root.
+            self.stamp[x] = self.window;
             self.parent[x] = x as u32;
             return x;
         }
-        let mut x = x as u32;
-        while self.parent[x as usize] != x {
-            let up = self.parent[x as usize];
-            // Fresh parents may predate this round; treat them as roots.
-            if self.stamp[up as usize] != self.round {
-                self.stamp[up as usize] = self.round;
-                self.parent[up as usize] = up;
-            }
-            x = up;
+        // Every node on a chain was linked this window, so is stamped.
+        let mut x = x;
+        while self.parent[x] as usize != x {
+            let grand = self.parent[self.parent[x] as usize];
+            self.parent[x] = grand;
+            x = grand as usize;
         }
-        x as usize
+        x
     }
 
-    /// Reserves the pair of (committed) roots `a`, `b` for this round:
-    /// returns false — defer the pair — when an already-scheduled chain
-    /// optimistically connects them.
-    fn try_reserve(&mut self, a: usize, b: usize) -> bool {
+    /// Links the (committed) roots `a` and `b`; false when earlier pairs
+    /// of the window already connect them optimistically.
+    fn link(&mut self, a: usize, b: usize) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;
@@ -96,198 +92,208 @@ impl RoundPlanner {
     }
 }
 
-/// Drains `next_batch` until exhaustion, testing each candidate pair
-/// with `test` (in parallel across the batch) and unioning positives in
-/// batch order. Returns `(pairs_tested, pairs_positive)`.
-///
-/// `next_batch` sees the up-to-date union-find and should (a) skip
-/// pairs whose endpoints are already connected — use
-/// [`UnionFind::root`] — and (b) bound the batch size so skipping stays
-/// effective; it returns an empty batch to signal exhaustion (deferred
-/// pairs may still be flushed afterwards). It receives the union-find
-/// **mutably** so triangle-inequality *free accepts* (pairs whose
-/// distance upper bound is already within the threshold) can be unioned
-/// during batch assembly without spending a test slot.
-pub(crate) fn union_rounds<F>(
+/// Runs the in-order merge over `pairs` `(a, b, payload)`: each pair the
+/// sequential loop would test goes through `test`, and the pairs that
+/// pass are unioned into `uf`. With `skip_connected` off every pair is
+/// tested (the early-termination ablation). Returns
+/// `(pairs_tested, pairs_passed)`.
+pub(crate) fn merge_in_order<T: Sync>(
     uf: &mut UnionFind,
     threads: usize,
-    mut next_batch: impl FnMut(&mut UnionFind) -> Vec<(u32, u32)>,
-    test: F,
-) -> (u64, u64)
-where
-    F: Fn(usize, usize) -> bool + Sync,
-{
+    pairs: &[(u32, u32, T)],
+    skip_connected: bool,
+    test: impl Fn(&(u32, u32, T)) -> bool + Sync,
+) -> (u64, u64) {
     let mut tested = 0u64;
-    let mut positive = 0u64;
-    let mut planner = RoundPlanner::new(uf.len());
-    // Pairs postponed because an earlier pair of their round already
-    // (optimistically) connected their components.
-    let mut deferred: Vec<(u32, u32)> = Vec::new();
-    let mut source_dry = false;
-    loop {
-        planner.next_round();
-        let mut batch: Vec<(u32, u32)> = Vec::new();
-        // Deferred pairs go first — they are older in candidate order.
-        let mut still_deferred: Vec<(u32, u32)> = Vec::new();
-        for &(a, b) in &deferred {
-            let (ra, rb) = (uf.root(a as usize), uf.root(b as usize));
-            if ra == rb {
-                continue; // the optimism held: sequential would skip too
-            }
-            if planner.try_reserve(ra, rb) {
-                batch.push((a, b));
-            } else {
-                still_deferred.push((a, b));
-            }
-        }
-        deferred = still_deferred;
-        if !source_dry {
-            let fresh = next_batch(uf);
-            if fresh.is_empty() {
-                source_dry = true;
-            }
-            for (a, b) in fresh {
-                let (ra, rb) = (uf.root(a as usize), uf.root(b as usize));
+    let mut passed = 0u64;
+    let mut planner = Optimistic::new(uf.len());
+    // Per window: the pairs to commit, each flagged "tested up front",
+    // and the positions of the up-front ones.
+    let mut live: Vec<(usize, bool)> = Vec::with_capacity(WINDOW);
+    let mut sure: Vec<usize> = Vec::with_capacity(WINDOW);
+    for window in pairs.chunks(WINDOW) {
+        planner.next_window();
+        live.clear();
+        sure.clear();
+        for (i, &(a, b, _)) in window.iter().enumerate() {
+            let is_sure = if skip_connected {
+                let (ra, rb) = (uf.find(a as usize), uf.find(b as usize));
                 if ra == rb {
-                    continue; // connected by a free accept mid-assembly
+                    continue;
                 }
-                if planner.try_reserve(ra, rb) {
-                    batch.push((a, b));
-                } else {
-                    deferred.push((a, b));
-                }
+                planner.link(ra, rb)
+            } else {
+                true
+            };
+            live.push((i, is_sure));
+            if is_sure {
+                sure.push(i);
             }
         }
-        if batch.is_empty() {
-            if source_dry && deferred.is_empty() {
-                return (tested, positive);
-            }
-            // A fresh round always schedules the first live deferred
-            // pair, so this loops only while progress is still possible.
-            continue;
-        }
-        tested += batch.len() as u64;
-        // Small batches run inline — a handful of distance tests never
-        // pays for a thread spawn.
-        let hits: Vec<bool> = par_map_range(batch.len(), threads, 8, |i| {
-            let (a, b) = batch[i];
-            test(a as usize, b as usize)
+        let verdicts = par_map_range(sure.len(), threads, MIN_TESTS_PER_THREAD, |s| {
+            test(&window[sure[s]])
         });
-        for (&(a, b), hit) in batch.iter().zip(hits) {
+        let mut verdicts = verdicts.into_iter();
+        for &(i, is_sure) in &live {
+            let pair = &window[i];
+            let (a, b) = (pair.0 as usize, pair.1 as usize);
+            let hit = if is_sure {
+                verdicts.next().expect("one verdict per up-front pair")
+            } else if uf.connected(a, b) {
+                continue;
+            } else {
+                test(pair)
+            };
+            tested += 1;
             if hit {
-                positive += 1;
-                uf.union(a as usize, b as usize);
+                passed += 1;
+                uf.union(a, b);
             }
         }
     }
-}
-
-/// A sensible batch size: large enough to amortize a round's spawn
-/// cost, small enough that connectivity discovered early in the round
-/// still prunes most of what follows.
-pub(crate) fn batch_size(threads: usize) -> usize {
-    (threads * 16).max(64)
+    (tested, passed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn run_pairs(
-        all_pairs: &[(u32, u32)],
+    /// The reference: the plain sequential merge loop.
+    fn sequential(
+        pairs: &[(u32, u32, ())],
+        n: usize,
+        skip_connected: bool,
+        test: impl Fn(usize, usize) -> bool,
+    ) -> (Vec<u32>, u64, u64) {
+        let mut uf = UnionFind::new(n);
+        let (mut tested, mut passed) = (0u64, 0u64);
+        for &(a, b, ()) in pairs {
+            let (a, b) = (a as usize, b as usize);
+            if skip_connected && uf.connected(a, b) {
+                continue;
+            }
+            tested += 1;
+            if test(a, b) {
+                passed += 1;
+                uf.union(a, b);
+            }
+        }
+        (uf.component_ids(), tested, passed)
+    }
+
+    fn windowed(
+        pairs: &[(u32, u32, ())],
         n: usize,
         threads: usize,
-        batch: usize,
+        skip_connected: bool,
         test: impl Fn(usize, usize) -> bool + Sync,
-    ) -> (Vec<u32>, u64) {
+    ) -> (Vec<u32>, u64, u64) {
         let mut uf = UnionFind::new(n);
-        let mut cursor = 0usize;
-        let (tested, _) = union_rounds(
-            &mut uf,
-            threads,
-            |uf| {
-                let mut out = Vec::new();
-                while out.len() < batch && cursor < all_pairs.len() {
-                    let (a, b) = all_pairs[cursor];
-                    cursor += 1;
-                    if uf.root(a as usize) != uf.root(b as usize) {
-                        out.push((a, b));
-                    }
-                }
-                out
-            },
-            test,
-        );
-        (uf.component_ids(), tested)
+        let (tested, passed) = merge_in_order(&mut uf, threads, pairs, skip_connected, |p| {
+            test(p.0 as usize, p.1 as usize)
+        });
+        (uf.component_ids(), tested, passed)
     }
 
-    /// A chain 0-1-2-…-n as candidate pairs plus all the transitive
-    /// pairs; the transitive ones must be skipped or harmless.
-    #[test]
-    fn components_match_sequential_for_any_threading() {
-        let n = 40usize;
-        let all_pairs: Vec<(u32, u32)> = (0..n as u32)
-            .flat_map(|i| ((i + 1)..n as u32).map(move |j| (i, j)))
-            .collect();
-        // connect iff same parity
-        let test = |a: usize, b: usize| (a % 2) == (b % 2);
-        let (reference, _) = run_pairs(&all_pairs, n, 1, 1, test);
-        assert_eq!(reference.iter().filter(|&&c| c == 0).count(), n / 2);
-        for (threads, batch) in [(1, 7), (4, 16), (8, 64)] {
-            let (ids, _) = run_pairs(&all_pairs, n, threads, batch, test);
-            assert_eq!(ids, reference, "threads={threads}");
-        }
+    fn all_pairs(n: u32) -> Vec<(u32, u32, ())> {
+        (0..n)
+            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j, ())))
+            .collect()
     }
 
-    /// The component-aware planner must never test a pair the
-    /// sequential interleaving skips: tested counts are bounded by the
-    /// sequential count for every thread count and batch size (this is
-    /// the `bcp_tests` over-testing gap noted in the roadmap). With an
-    /// always-true predicate the counts are exactly equal — both run
-    /// the same greedy spanning forest.
-    #[test]
-    fn tested_counts_never_exceed_sequential() {
-        let n = 60usize;
-        let all_pairs: Vec<(u32, u32)> = (0..n as u32)
-            .flat_map(|i| ((i + 1)..n as u32).map(move |j| (i, j)))
-            .collect();
-        for modulo in [2usize, 3, 7] {
-            // Deterministic mixed pass/fail predicate.
-            let test =
-                move |a: usize, b: usize| (a % modulo) == (b % modulo) && (a * 31 + b) % 5 != 3;
-            let (seq_ids, seq_tested) = run_pairs(&all_pairs, n, 1, 1, test);
-            for (threads, batch) in [(2, 8), (4, 16), (8, 64), (3, 5)] {
-                let (ids, tested) = run_pairs(&all_pairs, n, threads, batch, test);
-                assert_eq!(ids, seq_ids, "modulo={modulo} threads={threads}");
-                assert!(
-                    tested <= seq_tested,
-                    "modulo={modulo} threads={threads} batch={batch}: \
-                     planner over-tested ({tested} > {seq_tested})"
+    /// Components, tested and passed counts equal the sequential loop's
+    /// for every thread count, with and without the connected skip.
+    fn assert_matches_sequential(
+        pairs: &[(u32, u32, ())],
+        n: usize,
+        test: impl Fn(usize, usize) -> bool + Sync + Copy,
+    ) {
+        for skip in [true, false] {
+            let reference = sequential(pairs, n, skip, test);
+            for threads in [1, 2, 3, 8] {
+                assert_eq!(
+                    windowed(pairs, n, threads, skip, test),
+                    reference,
+                    "threads={threads} skip_connected={skip}"
                 );
             }
         }
-        // All-success: exact equality (one spanning tree per component).
+    }
+
+    /// All pairs of 40 points, joined iff same parity: the transitive
+    /// pairs must be skipped exactly as the sequential loop skips them.
+    #[test]
+    fn components_match_sequential_for_any_threading() {
+        let n = 40usize;
+        let pairs = all_pairs(n as u32);
+        let test = |a: usize, b: usize| (a % 2) == (b % 2);
+        let (ids, _, _) = sequential(&pairs, n, true, test);
+        assert_eq!(ids.iter().filter(|&&c| c == 0).count(), n / 2);
+        assert_matches_sequential(&pairs, n, test);
+    }
+
+    /// Mixed pass/fail predicates over 1,770 pairs, so the pairs span
+    /// several windows and chains straddle the window edges.
+    #[test]
+    fn tested_counts_equal_sequential() {
+        let n = 60usize;
+        let pairs = all_pairs(n as u32);
+        assert!(pairs.len() > 4 * WINDOW);
+        for modulo in [2usize, 3, 7] {
+            let test =
+                move |a: usize, b: usize| (a % modulo) == (b % modulo) && (a * 31 + b) % 5 != 3;
+            assert_matches_sequential(&pairs, n, test);
+        }
+        // All-pass: one spanning tree, n − 1 tests.
         let always = |_: usize, _: usize| true;
-        let (seq_ids, seq_tested) = run_pairs(&all_pairs, n, 1, 1, always);
-        assert_eq!(seq_tested, (n - 1) as u64);
-        for (threads, batch) in [(4, 16), (8, 128)] {
-            let (ids, tested) = run_pairs(&all_pairs, n, threads, batch, always);
-            assert_eq!(ids, seq_ids);
-            assert_eq!(tested, seq_tested, "threads={threads} batch={batch}");
+        let (_, tested, _) = windowed(&pairs, n, 4, true, always);
+        assert_eq!(tested, (n - 1) as u64);
+        assert_matches_sequential(&pairs, n, always);
+        // All-fail: every pair is tested.
+        let never = |_: usize, _: usize| false;
+        let (_, tested, _) = windowed(&pairs, n, 4, true, never);
+        assert_eq!(tested, pairs.len() as u64);
+    }
+
+    /// A chain whose links sit on both sides of a window edge, with a
+    /// transitive pair placed right after the edge.
+    #[test]
+    fn chains_straddling_window_edges_match_sequential() {
+        let n = 8usize;
+        let mut pairs: Vec<(u32, u32, ())> = Vec::new();
+        // Filler pairs that never connect anything new: (6, 7) repeated.
+        pairs.extend(std::iter::repeat_n((6, 7, ()), WINDOW - 2));
+        pairs.push((0, 1, ())); // last two of window 0
+        pairs.push((1, 2, ()));
+        pairs.push((0, 2, ())); // first of window 1: transitive
+        pairs.push((2, 3, ()));
+        pairs.push((3, 4, ()));
+        pairs.push((1, 4, ()));
+        pairs.push((0, 5, ()));
+        for test in [
+            |_: usize, _: usize| true,
+            |a: usize, b: usize| (a, b) != (1, 2),
+            |a: usize, b: usize| !(a + b).is_multiple_of(3),
+        ] {
+            assert_matches_sequential(&pairs, n, test);
         }
     }
 
-    /// The scenario the old planner over-tested: one round holding the
-    /// whole chain (A,B), (B,C), (A,C) must defer the transitive pair.
+    /// One window holding the chain (A,B), (B,C), (A,C): the transitive
+    /// pair is tested only when one of the first two fails.
     #[test]
-    fn transitive_pair_within_one_round_is_deferred() {
-        let pairs = [(0u32, 1u32), (1, 2), (0, 2)];
-        let always = |_: usize, _: usize| true;
-        let (seq_ids, seq_tested) = run_pairs(&pairs, 3, 1, 1, always);
-        assert_eq!(seq_tested, 2, "sequential skips the transitive pair");
-        // One big batch: the old planner tested all 3.
-        let (ids, tested) = run_pairs(&pairs, 3, 4, 64, always);
-        assert_eq!(ids, seq_ids);
-        assert_eq!(tested, 2, "round must not schedule (0,2)");
+    fn transitive_pair_within_one_window_is_skipped() {
+        let pairs = [(0u32, 1u32, ()), (1, 2, ()), (0, 2, ())];
+        let (_, tested, _) = windowed(&pairs, 3, 4, true, |_, _| true);
+        assert_eq!(tested, 2, "(0, 2) must be skipped once connected");
+        let fail_ab = |a: usize, b: usize| (a, b) != (0, 1);
+        let fail_bc = |a: usize, b: usize| (a, b) != (1, 2);
+        for fail in [fail_ab, fail_bc] {
+            let (_, tested, _) = windowed(&pairs, 3, 4, true, fail);
+            assert_eq!(tested, 3, "(0, 2) must be tested once a link fails");
+        }
+        for test in [|_: usize, _: usize| true, fail_ab, fail_bc] {
+            assert_matches_sequential(&pairs, 3, test);
+        }
     }
 }

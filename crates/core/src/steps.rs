@@ -40,11 +40,11 @@
 //! * Step 1 over points (each point's core test is independent), with
 //!   pruning counters reduced per worker chunk;
 //! * Step 2 builds the per-fragment cover trees in parallel (weighted
-//!   by fragment size) and batches BCP tests per union-find round — a
-//!   batch is pre-filtered against current connectivity, tested in
-//!   parallel, and unioned in order, preserving the early-termination
-//!   *semantics* (skipped pairs are already-connected pairs) and the
-//!   final labels exactly;
+//!   by fragment size), unions the distance-free merges, and runs the
+//!   remaining BCP tests through the in-order merge of `parmerge`: the
+//!   tests run in parallel, yet they are exactly the ones the
+//!   sequential loop makes, so the labels and the test counts are the
+//!   same for every thread count;
 //! * Step 3 over points again.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,7 +61,7 @@ use crate::candidates::{par_probe, Candidates, Ledger, Probe, Scan};
 use crate::labels::PointLabel;
 use crate::netview::NetView;
 use crate::params::DbscanParams;
-use crate::parmerge::{batch_size, union_rounds};
+use crate::parmerge::merge_in_order;
 use crate::unionfind::UnionFind;
 
 /// Points per worker below which Step 1/3 stay sequential.
@@ -81,7 +81,8 @@ pub struct ExactConfig {
     pub cover_tree_merge: bool,
     /// Step 2: stop a BCP test at the first witness pair `≤ ε` and skip
     /// tests between fragments already merged transitively. Off = every
-    /// neighboring pair computes its full BCP — note that `pruning` must
+    /// neighboring pair computes its full BCP and no pair is skipped as
+    /// connected, at every thread count — note that `pruning` must
     /// *also* be off for textbook BCP counts, since distance-free merge
     /// accepts bypass [`StepsStats::bcp_tests`] entirely.
     pub early_termination: bool,
@@ -134,12 +135,11 @@ pub struct StepsStats {
     pub assign_secs: f64,
     /// Number of points labeled core by the dense-ball shortcut.
     pub dense_cores: usize,
-    /// Fragment pairs whose BCP was tested. The multi-thread batch
-    /// planner is component-aware (a round never schedules a pair whose
-    /// endpoints an earlier pair of the same round may connect), so this
-    /// never exceeds the 1-thread count — it can come in slightly under
-    /// when a deferred pair resolves before its retry; the resulting
-    /// labels are identical either way.
+    /// Fragment pairs whose BCP was tested. Distance-free merges are
+    /// unioned before any test, then the remaining pairs are tested in
+    /// candidate order, skipping pairs already connected; parallel runs
+    /// make exactly the same tests, so this count is the same for every
+    /// thread count.
     pub bcp_tests: u64,
     /// Fragment pairs found connected (distance-free accepts included).
     pub bcp_connected: u64,
@@ -148,8 +148,8 @@ pub struct StepsStats {
     /// tree-backed groups a skipped group counts all its pairs even
     /// though the tree would have evaluated fewer, so
     /// [`PruneStats::distance_evals_saved`] is an upper estimate there.
-    /// Like `bcp_tests`, these are work counters — thread count and
-    /// cache hits may shift them while labels stay identical.
+    /// These are work counters: the same for every thread count, but a
+    /// cache hit skips the work it replays.
     pub pruning: PruneStats,
     /// Distance evaluations across all phases (adjacency + Steps 1–3),
     /// in units of the paper's `t_dis`. Zero unless
@@ -559,17 +559,18 @@ fn run_steps_inner<P: Sync, M: BatchMetric<P> + Sync>(
         .collect()
     };
     let mut uf = UnionFind::new(k);
-    // Candidate fragment pairs in (e, e') lexicographic order — the same
-    // order the sequential loop tests them in — each carrying its
-    // distance-free verdict from the adjacency's center-pair bounds:
+    // Candidate fragment pairs in (e, e') lexicographic order, each
+    // judged first by the adjacency's center-pair bounds:
     // `ub + r_e + r_e' ≤ ε` merges without a BCP test (every cross pair
     // is within ε), `lb − r_e − r_e' > ε` discards the candidate
-    // entirely (no cross pair can reach ε). Survivors keep the edge's
-    // lower bound: inside the BCP test it anchors each *probe point*
+    // entirely (no cross pair can reach ε). The distance-free merges are
+    // unioned right away — the components do not depend on the order of
+    // unions, only on which pairs pass. Survivors keep the edge's lower
+    // bound: inside the BCP test it anchors each *probe point*
     // individually (its cached `dis(p, c_p)` sharpens the whole-fragment
     // slack), skipping tree queries for probes that provably cannot
     // reach any host member.
-    let mut candidates: Vec<(u32, u32, bool, f64)> = Vec::new();
+    let mut candidates: Vec<(u32, u32, f64)> = Vec::new();
     for e in 0..k {
         if fragments.row_len(e) == 0 {
             continue;
@@ -590,108 +591,42 @@ fn run_steps_inner<P: Sync, M: BatchMetric<P> + Sync>(
                 }
                 if ub + slack <= eps {
                     ledger.pruning.bound_accepts += 1;
-                    candidates.push((e as u32, e2, true, lb));
+                    if uf.union(e, e2u) || !cfg.early_termination {
+                        stats.bcp_connected += 1;
+                    }
                     continue;
                 }
             }
-            candidates.push((e as u32, e2, false, lb));
+            candidates.push((e as u32, e2, lb));
         }
     }
+    // The remaining pairs in candidate order, tested exactly as the
+    // sequential loop tests them (see `parmerge`).
     let probe_rejects = AtomicU64::new(0);
-    if threads <= 1 {
-        // Classic sequential interleaving: test, union, and let fresh
-        // connectivity skip later pairs immediately.
-        for &(e, e2, free, lb) in &candidates {
-            let (e, e2) = (e as usize, e2 as usize);
-            if cfg.early_termination && uf.connected(e, e2) {
-                continue;
-            }
-            if free {
-                stats.bcp_connected += 1;
-                uf.union(e, e2);
-                continue;
-            }
-            stats.bcp_tests += 1;
-            if bcp_within(
+    let (tested, connected) = merge_in_order(
+        &mut uf,
+        threads,
+        &candidates,
+        cfg.early_termination,
+        |&(e, e2, lb)| {
+            bcp_within(
                 points,
                 metric,
                 net,
                 fragments,
                 frag_radius,
                 &trees,
-                e,
-                e2,
+                e as usize,
+                e2 as usize,
                 eps,
                 lb,
                 cfg,
                 &probe_rejects,
-            ) {
-                stats.bcp_connected += 1;
-                uf.union(e, e2);
-            }
-        }
-    } else {
-        let batch = batch_size(threads);
-        let mut cursor = 0usize;
-        let mut free_connected = 0u64;
-        // The parallel test closure only sees (e, e2); recover each
-        // surviving candidate's edge lower bound by binary search —
-        // candidates are generated in (e, e2) lexicographic order, so
-        // the non-free subsequence is already sorted.
-        let edge_lb: Vec<(u32, u32, f64)> = candidates
-            .iter()
-            .filter(|c| !c.2)
-            .map(|&(a, b, _, lb)| (a, b, lb))
-            .collect();
-        debug_assert!(edge_lb
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-        let (tested, connected) = union_rounds(
-            &mut uf,
-            threads,
-            |uf| {
-                let mut out = Vec::new();
-                while out.len() < batch && cursor < candidates.len() {
-                    let (e, e2, free, _) = candidates[cursor];
-                    cursor += 1;
-                    if cfg.early_termination && uf.root(e as usize) == uf.root(e2 as usize) {
-                        continue;
-                    }
-                    if free {
-                        free_connected += 1;
-                        uf.union(e as usize, e2 as usize);
-                        continue;
-                    }
-                    out.push((e, e2));
-                }
-                out
-            },
-            |e, e2| {
-                // Every tested pair was scheduled from the non-free
-                // candidates, so the search cannot miss.
-                let lb = edge_lb
-                    .binary_search_by_key(&(e as u32, e2 as u32), |&(a, b, _)| (a, b))
-                    .map(|i| edge_lb[i].2)
-                    .unwrap_or(0.0);
-                bcp_within(
-                    points,
-                    metric,
-                    net,
-                    fragments,
-                    frag_radius,
-                    &trees,
-                    e,
-                    e2,
-                    eps,
-                    lb,
-                    cfg,
-                    &probe_rejects,
-                )
-            },
-        );
-        stats.bcp_tests = tested;
-        stats.bcp_connected = connected + free_connected;
-    }
+            )
+        },
+    );
+    stats.bcp_tests = tested;
+    stats.bcp_connected += connected;
     ledger.pruning.probe_rejects += probe_rejects.load(Ordering::Relaxed);
     stats.merge_evals = tick() - evals_before;
     stats.merge_secs = t.elapsed().as_secs_f64();
@@ -816,7 +751,7 @@ fn nearest_fragment<P, M: BatchMetric<P>>(
 /// Is `BCP(C̃_e, C̃_{e'}) ≤ eps`? Queries come from the smaller fragment
 /// against the larger fragment's cover tree; early termination returns at
 /// the first witness. Pure (no shared state beyond the relaxed
-/// probe-reject counter), so Step 2 batches may run it concurrently.
+/// probe-reject counter), so the in-order merge may run it concurrently.
 ///
 /// Each probe point `q` is anchored against the **host center** before
 /// any tree query: with `lb` a sound lower bound on

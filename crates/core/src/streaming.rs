@@ -49,7 +49,6 @@ use mdbscan_rp::{RpIndex, RpStats};
 use crate::error::DbscanError;
 use crate::labels::{Clustering, PointLabel};
 use crate::params::ApproxParams;
-use crate::parmerge::{batch_size, union_rounds};
 use crate::unionfind::UnionFind;
 
 /// Pass-3 labeling buffers this many stream points per parallel block.
@@ -184,7 +183,8 @@ pub struct StreamingApproxDbscan<'m, P, M> {
     rp_buf: Vec<u32>,
     stats: StreamingStats,
     // Pruning counters as relaxed atomics: pass 3 labels through `&self`
-    // from many threads at once.
+    // from many threads at once. Each observation or label counts into a
+    // local `Tally` and adds it here once.
     p_accepts: AtomicU64,
     p_rejects: AtomicU64,
     p_anchors: AtomicU64,
@@ -195,11 +195,18 @@ pub struct StreamingApproxDbscan<'m, P, M> {
     rp_rejected: AtomicU64,
 }
 
+/// Anchor decisions counted by one observation or label, added to the
+/// shared ledger once ([`StreamingApproxDbscan::flush`]) so that
+/// concurrent pass-3 workers do not contend on it per stored point.
+#[derive(Default)]
+struct Tally {
+    accepts: u64,
+    rejects: u64,
+}
+
 /// One stored point's threshold test `dis(x, p) ≤ bound`, decided by the
-/// first-center anchor when possible. Returns the decision and whether
-/// it was free.
+/// first-center anchor when possible (and then counted in `tally`).
 #[inline]
-#[allow(clippy::too_many_arguments)] // per-pair hot-path helper
 fn anchored_within<P, M: Metric<P>>(
     metric: &M,
     stored: &P,
@@ -207,15 +214,14 @@ fn anchored_within<P, M: Metric<P>>(
     p: &P,
     d0: f64,
     bound: f64,
-    accepts: &AtomicU64,
-    rejects: &AtomicU64,
+    tally: &mut Tally,
 ) -> bool {
     if (d0 - stored_anchor).abs() > bound {
-        rejects.fetch_add(1, Ordering::Relaxed);
+        tally.rejects += 1;
         return false;
     }
     if d0 + stored_anchor <= bound {
-        accepts.fetch_add(1, Ordering::Relaxed);
+        tally.accepts += 1;
         return true;
     }
     metric.within(stored, p, bound)
@@ -248,10 +254,11 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
         }
     }
 
-    /// Sets the thread knob for the offline summary merge and the
-    /// batched pass-3 labeling. Passes 1 and 2 are inherently
-    /// sequential (first-fit netting depends on arrival order); the
-    /// result is identical for every thread count.
+    /// Sets the thread knob for the batched pass-3 labeling. Passes 1
+    /// and 2 are inherently sequential (first-fit netting depends on
+    /// arrival order), and the offline summary merge runs in order
+    /// because its single-distance tests are too cheap to hand off; the
+    /// result and every counter are identical for every thread count.
     pub fn with_parallel(mut self, parallel: ParallelConfig) -> Self {
         self.parallel = parallel;
         self
@@ -321,6 +328,17 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
         true
     }
 
+    /// Adds one observation's or label's anchor decisions to the shared
+    /// ledger.
+    fn flush(&self, tally: Tally) {
+        if tally.accepts > 0 {
+            self.p_accepts.fetch_add(tally.accepts, Ordering::Relaxed);
+        }
+        if tally.rejects > 0 {
+            self.p_rejects.fetch_add(tally.rejects, Ordering::Relaxed);
+        }
+    }
+
     /// The anchor distance `dis(p, E[0])` for an incoming point, or
     /// `None` when pruning is off / no center exists yet. One metric
     /// call, counted as an anchor evaluation.
@@ -342,6 +360,7 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
         let eps = self.params.eps();
         let min_pts = self.params.min_pts();
         let d0 = self.anchor_of(p);
+        let mut tally = Tally::default();
         // First-fit netting (paper lines 3–5).
         let mut owner: Option<u32> = None;
         for (i, c) in self.centers.iter().enumerate() {
@@ -355,8 +374,7 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
                     p,
                     d0,
                     self.rbar,
-                    &self.p_accepts,
-                    &self.p_rejects,
+                    &mut tally,
                 ),
                 None => self.metric.within(&c.point, p, self.rbar),
             };
@@ -397,16 +415,9 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
             }
             let within = match d0 {
                 Some(d0) if i == 0 => d0 <= eps,
-                Some(d0) => anchored_within(
-                    self.metric,
-                    &c.point,
-                    c.d_to_first,
-                    p,
-                    d0,
-                    eps,
-                    &self.p_accepts,
-                    &self.p_rejects,
-                ),
+                Some(d0) => {
+                    anchored_within(self.metric, &c.point, c.d_to_first, p, d0, eps, &mut tally)
+                }
                 None => self.metric.within(&c.point, p, eps),
             };
             if within {
@@ -417,6 +428,7 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
             }
         }
         self.rp_buf = buf;
+        self.flush(tally);
         // Park p under its owner if that owner is not (yet) core. Centers
         // park themselves too — their own pass-1 count misses earlier
         // arrivals, so certification is finished in pass 2.
@@ -462,6 +474,7 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
             return;
         }
         let d0 = self.anchor_of(p);
+        let mut tally = Tally::default();
         // Same RP restriction as pass 1: only parked candidates in the
         // replayed point's candidate set recount it (merge join — the
         // parked list ascends in stream id, `retain` kept the order).
@@ -485,16 +498,9 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
                 }
             }
             let within = match d0 {
-                Some(d0) => anchored_within(
-                    self.metric,
-                    &m.point,
-                    m.d_to_first,
-                    p,
-                    d0,
-                    eps,
-                    &self.p_accepts,
-                    &self.p_rejects,
-                ),
+                Some(d0) => {
+                    anchored_within(self.metric, &m.point, m.d_to_first, p, d0, eps, &mut tally)
+                }
                 None => self.metric.within(&m.point, p, eps),
             };
             if within {
@@ -507,6 +513,7 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
         }
         self.pass2_pending = pending;
         self.rp_buf = buf;
+        self.flush(tally);
     }
 
     /// Ends pass 2: assembles the summary `S*` (core centers + certified
@@ -553,87 +560,40 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
             .collect();
         let merge_r = self.params.merge_radius();
         let s = summary_points.len();
-        let threads = self.parallel.threads();
-        let pruning_on = self.pruning.enabled;
+        let mut tally = Tally::default();
         let mut uf = UnionFind::new(s);
-        // Pair verdict from the anchors alone: Some(true) = free union,
-        // Some(false) = free skip, None = needs a distance test. The
-        // first summary slot is E[0] itself only if E[0] is core; the
-        // anchors are sound bounds either way (plain triangle
-        // inequality through E[0]).
-        let verdict = |i: usize, j: usize| -> Option<bool> {
-            if !pruning_on {
-                return None;
-            }
-            if (anchors[i] - anchors[j]).abs() > merge_r {
-                self.p_rejects.fetch_add(1, Ordering::Relaxed);
-                return Some(false);
-            }
-            if anchors[i] + anchors[j] <= merge_r {
-                self.p_accepts.fetch_add(1, Ordering::Relaxed);
-                return Some(true);
-            }
-            None
-        };
-        if threads <= 1 {
-            for i in 0..s {
-                for j in (i + 1)..s {
-                    if uf.connected(i, j) {
+        // All pairs in order, at every thread count: a single distance
+        // test is too cheap to hand off to another thread. The anchors
+        // decide a pair without a test when they can: the first summary
+        // slot is E[0] itself only if E[0] is core, but the anchors are
+        // sound bounds either way (plain triangle inequality through
+        // E[0]).
+        for i in 0..s {
+            for j in (i + 1)..s {
+                if uf.connected(i, j) {
+                    continue;
+                }
+                if self.pruning.enabled {
+                    if (anchors[i] - anchors[j]).abs() > merge_r {
+                        tally.rejects += 1;
                         continue;
                     }
-                    match verdict(i, j) {
-                        Some(true) => {
-                            uf.union(i, j);
-                        }
-                        Some(false) => {}
-                        None => {
-                            self.stats.merge_pairs_tested += 1;
-                            if self
-                                .metric
-                                .within(&summary_points[i], &summary_points[j], merge_r)
-                            {
-                                uf.union(i, j);
-                            }
-                        }
+                    if anchors[i] + anchors[j] <= merge_r {
+                        tally.accepts += 1;
+                        uf.union(i, j);
+                        continue;
                     }
                 }
+                self.stats.merge_pairs_tested += 1;
+                if self
+                    .metric
+                    .within(&summary_points[i], &summary_points[j], merge_r)
+                {
+                    uf.union(i, j);
+                }
             }
-        } else {
-            // Round-batched all-pairs sweep: same candidate order,
-            // parallel distance tests, identical final components.
-            let batch = batch_size(threads);
-            let mut i = 0usize;
-            let mut j = 1usize;
-            let (tested, _) = union_rounds(
-                &mut uf,
-                threads,
-                |uf| {
-                    let mut out = Vec::new();
-                    while out.len() < batch && i + 1 < s {
-                        if uf.root(i) != uf.root(j) {
-                            match verdict(i, j) {
-                                Some(true) => {
-                                    uf.union(i, j);
-                                }
-                                Some(false) => {}
-                                None => out.push((i as u32, j as u32)),
-                            }
-                        }
-                        j += 1;
-                        if j >= s {
-                            i += 1;
-                            j = i + 1;
-                        }
-                    }
-                    out
-                },
-                |a, b| {
-                    self.metric
-                        .within(&summary_points[a], &summary_points[b], merge_r)
-                },
-            );
-            self.stats.merge_pairs_tested = tested;
         }
+        self.flush(tally);
         self.summary_clusters = uf.component_ids();
         self.phase = Phase::Pass3;
     }
@@ -666,39 +626,35 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
         assert_eq!(self.phase, Phase::Pass3, "pass3_label before finish_pass2");
         let label_r = self.params.label_radius();
         let d0 = self.anchor_of(p);
-        // First-fit owner.
-        for (i, c) in self.centers.iter().enumerate() {
-            let within = match d0 {
-                Some(d0) if i == 0 => d0 <= self.rbar,
-                Some(d0) => anchored_within(
-                    self.metric,
-                    &c.point,
-                    c.d_to_first,
-                    p,
-                    d0,
-                    self.rbar,
-                    &self.p_accepts,
-                    &self.p_rejects,
-                ),
-                None => self.metric.within(&c.point, p, self.rbar),
-            };
-            if within {
-                if c.core {
-                    return PointLabel::Border(self.summary_clusters[c.summary_pos as usize]);
-                }
-                break;
-            }
+        let mut tally = Tally::default();
+        // First-fit owner: a core owner hands the point its cluster.
+        let owner = self.centers.iter().enumerate().find(|&(i, c)| match d0 {
+            Some(d0) if i == 0 => d0 <= self.rbar,
+            Some(d0) => anchored_within(
+                self.metric,
+                &c.point,
+                c.d_to_first,
+                p,
+                d0,
+                self.rbar,
+                &mut tally,
+            ),
+            None => self.metric.within(&c.point, p, self.rbar),
+        });
+        if let Some((_, c)) = owner.filter(|(_, c)| c.core) {
+            self.flush(tally);
+            return PointLabel::Border(self.summary_clusters[c.summary_pos as usize]);
         }
         // Nearest summary member within (ρ/2+1)ε. The anchored lower
         // bound skips members that provably cannot beat the current
         // best (`dis ≥ |d₀ − anchor| > bound` ⇒ the bounded evaluation
         // would reject them anyway).
         let mut best: Option<(f64, u32)> = None;
-        let consider = |point: &P, anchor: f64, pos: u32, best: &mut Option<(f64, u32)>| {
+        let mut consider = |point: &P, anchor: f64, pos: u32, best: &mut Option<(f64, u32)>| {
             let bound = best.map_or(label_r, |(d, _)| d);
             if let Some(d0) = d0 {
                 if (d0 - anchor).abs() > bound {
-                    self.p_rejects.fetch_add(1, Ordering::Relaxed);
+                    tally.rejects += 1;
                     return;
                 }
             }
@@ -761,6 +717,7 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
                 }
             }
         }
+        self.flush(tally);
         match best {
             Some((d, pos)) if d < 0.0 => PointLabel::Core(self.summary_clusters[pos as usize]),
             Some((_, pos)) => PointLabel::Border(self.summary_clusters[pos as usize]),
@@ -807,9 +764,9 @@ impl<'m, P: Clone + Sync, M: Metric<P> + Sync> StreamingApproxDbscan<'m, P, M> {
     }
 
     /// As [`StreamingApproxDbscan::run`], with an explicit thread knob
-    /// for the offline merge and pass-3 labeling. Pass 3 buffers the
-    /// stream in fixed-size blocks and labels each block in parallel —
-    /// memory stays `O(summary + block)`, independent of `n`.
+    /// for the pass-3 labeling, which buffers the stream in fixed-size
+    /// blocks and labels each block in parallel — memory stays
+    /// `O(summary + block)`, independent of `n`.
     pub fn run_with<I: Iterator<Item = P>>(
         metric: &'m M,
         params: &ApproxParams,

@@ -72,9 +72,8 @@ impl UnionFind {
     }
 
     /// Representative of `x`'s set **without** path compression — usable
-    /// through a shared reference, e.g. to pre-filter candidate pairs
-    /// while a batch of parallel tests is in flight. Chains stay short
-    /// because every mutating call goes through the halving [`UnionFind::find`].
+    /// through a shared reference. Chains stay short because every
+    /// mutating call goes through the halving [`UnionFind::find`].
     pub fn root(&self, x: usize) -> usize {
         let mut x = x as u32;
         while self.parent[x as usize] != x {

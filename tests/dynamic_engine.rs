@@ -16,10 +16,10 @@
 use std::sync::Arc;
 
 use metric_dbscan::core::{
-    ApproxParams, DbscanParams, MetricDbscan, NetStrategy, ParallelConfig, PointLabel,
+    ApproxParams, DbscanParams, MetricDbscan, NetStrategy, ParallelConfig, PointLabel, RunDetail,
 };
 use metric_dbscan::datagen::{blobs, string_clusters, BlobSpec, StringSpec};
-use metric_dbscan::metric::{BatchMetric, Euclidean, Levenshtein, PruningConfig};
+use metric_dbscan::metric::{BatchMetric, CountingMetric, Euclidean, Levenshtein, PruningConfig};
 
 fn vector_points() -> Vec<Vec<f64>> {
     blobs(
@@ -304,31 +304,75 @@ fn cache_hit_counters_never_cross_epochs() {
     assert_eq!(warm.clustering, post.clustering);
 }
 
-/// The component-aware Step-2 batch planner: multi-thread runs must not
-/// test more BCP pairs than the sequential interleaving.
+/// Every merge makes exactly the sequential loop's pair tests, so the
+/// merge work counters never vary with the thread count: Step-2 BCP
+/// tests (exact and cover-tree pipelines), the Algorithm-2 and streaming
+/// summary merges' tested pairs, every pruning ledger, and the counted
+/// distance evaluations all equal their 1-thread values.
 #[test]
 fn parallel_bcp_tests_never_exceed_sequential() {
-    let points = vector_points();
+    let points = blobs(
+        &BlobSpec {
+            n: 1500,
+            dim: 2,
+            clusters: 4,
+            std: 1.0,
+            center_box: 25.0,
+            outlier_frac: 0.05,
+        },
+        7,
+    )
+    .into_parts()
+    .0;
     let params = DbscanParams::new(1.0, 5).unwrap();
-    let mut counts = Vec::new();
-    for threads in [1usize, 4, 8] {
-        let engine = build(
-            points.clone(),
-            Euclidean,
-            0.5,
-            threads,
-            // Pruning off so every candidate goes through a real BCP test.
-            PruningConfig::off(),
-        );
-        let run = engine.exact(&params).unwrap();
-        counts.push(run.report.exact_stats().unwrap().bcp_tests);
-    }
-    for (i, &c) in counts.iter().enumerate().skip(1) {
-        assert!(
-            c <= counts[0],
-            "threads run {i} tested {c} BCP pairs > sequential {}",
-            counts[0]
-        );
+    // ρ = 1 keeps one r̄ valid for exact (r̄ ≤ ε/2) and approx (r̄ ≤ ρε/2).
+    let aparams = ApproxParams::new(1.0, 5, 1.0).unwrap();
+    for pruning in [PruningConfig::off(), PruningConfig::default()] {
+        let mut reference = None;
+        for threads in [1usize, 2, 3, 8] {
+            // No cache: every query does all of its work.
+            let engine = MetricDbscan::builder(points.clone(), CountingMetric::new(Euclidean))
+                .rbar(0.5)
+                .net_strategy(NetStrategy::RadiusGuided)
+                .parallel(ParallelConfig::new(threads))
+                .pruning(pruning)
+                .cache_capacity(0)
+                .build()
+                .unwrap();
+            engine.metric().reset();
+            let mut counters = Vec::new();
+            for solver in ["exact", "covertree", "approx", "streaming"] {
+                let run = match solver {
+                    "exact" => engine.exact(&params),
+                    "covertree" => engine.covertree(&params),
+                    "approx" => engine.approx(&aparams),
+                    _ => engine.streaming(&aparams),
+                }
+                .unwrap();
+                let tested = match &run.report.detail {
+                    RunDetail::Exact(s) => s.bcp_tests,
+                    RunDetail::CoverTree(s) => s.steps.bcp_tests,
+                    RunDetail::Approx(s) => s.merge_pairs_tested,
+                    RunDetail::Streaming { stats, .. } => stats.merge_pairs_tested,
+                    _ => unreachable!("one detail per solver"),
+                };
+                let evals = engine.metric().reset();
+                counters.push((solver, tested, run.report.pruning, evals));
+            }
+            match &reference {
+                None => {
+                    for &(solver, tested, _, _) in &counters {
+                        assert!(tested > 0, "{solver}: the merge tested no pair");
+                    }
+                    reference = Some(counters);
+                }
+                Some(r) => assert_eq!(
+                    &counters, r,
+                    "threads={threads} pruning={}: merge work differs from 1 thread",
+                    pruning.enabled
+                ),
+            }
+        }
     }
 }
 

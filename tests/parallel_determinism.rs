@@ -9,7 +9,7 @@ use metric_dbscan::core::{
     ParallelConfig, PointLabel, StreamingApproxDbscan,
 };
 use metric_dbscan::datagen::{blobs, string_clusters, BlobSpec, StringSpec};
-use metric_dbscan::metric::{BatchMetric, Euclidean, Levenshtein};
+use metric_dbscan::metric::{BatchMetric, Euclidean, Levenshtein, PruningConfig};
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 2] = [2, 8];
@@ -149,6 +149,59 @@ proptest! {
         let baseline = solve(1);
         for threads in THREAD_COUNTS {
             prop_assert_eq!(&baseline, &solve(threads), "diverged at {} threads", threads);
+        }
+    }
+}
+
+/// Step 2 makes the same BCP tests at every thread count, with early
+/// termination on and off and with pruning on and off: in particular,
+/// the early-termination ablation skips no pair as connected at any
+/// thread count.
+#[test]
+fn bcp_tests_thread_invariant_with_and_without_early_termination() {
+    let pts = blobs(
+        &BlobSpec {
+            n: 3000,
+            dim: 2,
+            clusters: 5,
+            std: 1.0,
+            center_box: 25.0,
+            outlier_frac: 0.05,
+        },
+        3,
+    )
+    .into_parts()
+    .0;
+    let params = DbscanParams::new(0.6, 5).expect("params");
+    for early_termination in [true, false] {
+        for pruning in [PruningConfig::default(), PruningConfig::off()] {
+            let counts: Vec<u64> = [1usize, 2, 4]
+                .iter()
+                .map(|&threads| {
+                    let parallel = ParallelConfig::new(threads);
+                    let engine = MetricDbscan::builder(pts.clone(), Euclidean)
+                        .rbar(0.3)
+                        .parallel(parallel)
+                        .pruning(pruning)
+                        .cache_capacity(0)
+                        .build()
+                        .expect("engine");
+                    let cfg = ExactConfig {
+                        early_termination,
+                        pruning,
+                        parallel,
+                        ..ExactConfig::default()
+                    };
+                    let run = engine.exact_with(&params, &cfg).expect("exact");
+                    run.report.exact_stats().expect("exact stats").bcp_tests
+                })
+                .collect();
+            let ctx = format!(
+                "early_termination={early_termination} pruning={}",
+                pruning.enabled
+            );
+            assert!(counts[0] > 0, "{ctx}: no BCP test made");
+            assert_eq!(counts, vec![counts[0]; 3], "{ctx}");
         }
     }
 }
